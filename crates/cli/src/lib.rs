@@ -725,8 +725,17 @@ fn cmd_loadgen_replay(args: &[String]) -> Result<String, CliError> {
 mod tests {
     use super::*;
 
-    fn fixture_path() -> String {
-        // Two 5-cliques joined by one edge, as an .hgr in a temp file.
+    /// A directory of this test's own, named by the test and the process
+    /// id: tests run in parallel, so a shared path would let one test
+    /// rewrite a file while another reads it.
+    fn test_dir(test: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("gtl_cli_test-{}-{test}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// Two 5-cliques joined by one edge, as an .hgr in `test`'s directory.
+    fn fixture_path(test: &str) -> String {
         let mut text = String::from("21 10\n");
         for base in [0, 5] {
             for i in 0..5 {
@@ -736,9 +745,7 @@ mod tests {
             }
         }
         text.push_str("1 6\n");
-        let dir = std::env::temp_dir().join("gtl_cli_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("two_cliques.hgr");
+        let path = test_dir(test).join("two_cliques.hgr");
         std::fs::write(&path, text).unwrap();
         path.display().to_string()
     }
@@ -749,7 +756,7 @@ mod tests {
 
     #[test]
     fn stats_command() {
-        let out = run(&argv(&["stats", &fixture_path()])).unwrap();
+        let out = run(&argv(&["stats", &fixture_path("stats_command")])).unwrap();
         assert!(out.contains("|V|=10"), "{out}");
         assert!(out.contains("net degree histogram"));
     }
@@ -758,7 +765,7 @@ mod tests {
     fn find_command_locates_cliques() {
         let out = run(&argv(&[
             "find",
-            &fixture_path(),
+            &fixture_path("find_command_locates_cliques"),
             "--seeds",
             "10",
             "--min-size",
@@ -774,14 +781,16 @@ mod tests {
 
     #[test]
     fn score_command() {
-        let out = run(&argv(&["score", &fixture_path(), "--cells", "0,1,2,3,4"])).unwrap();
+        let out =
+            run(&argv(&["score", &fixture_path("score_command"), "--cells", "0,1,2,3,4"])).unwrap();
         assert!(out.contains("T(C)=1"), "{out}");
         assert!(out.contains("nGTL-S"));
     }
 
     #[test]
     fn curve_command_is_csv() {
-        let out = run(&argv(&["curve", &fixture_path(), "--seed", "0"])).unwrap();
+        let out =
+            run(&argv(&["curve", &fixture_path("curve_command_is_csv"), "--seed", "0"])).unwrap();
         let mut lines = out.lines();
         assert_eq!(lines.next(), Some("size,cut,ngtl_s,gtl_sd"));
         assert!(lines.next().unwrap().starts_with("1,"));
@@ -792,10 +801,11 @@ mod tests {
         assert!(run(&argv(&["--help"])).unwrap().contains("USAGE"));
         assert!(run(&argv(&["bogus"])).is_err());
         assert!(run(&argv(&[])).is_err());
-        let err = run(&argv(&["score", &fixture_path()])).unwrap_err();
+        let path = fixture_path("help_and_errors");
+        let err = run(&argv(&["score", &path])).unwrap_err();
         assert!(err.to_string().contains("--cells"));
         assert_eq!(err.exit_code(), 2);
-        let err = run(&argv(&["score", &fixture_path(), "--cells", "99"])).unwrap_err();
+        let err = run(&argv(&["score", &path, "--cells", "99"])).unwrap_err();
         assert!(err.to_string().contains("out of range"));
     }
 
@@ -803,7 +813,7 @@ mod tests {
     fn blocks_command_plans_regions() {
         let out = run(&argv(&[
             "blocks",
-            &fixture_path(),
+            &fixture_path("blocks_command_plans_regions"),
             "--seeds",
             "10",
             "--min-size",
@@ -818,11 +828,10 @@ mod tests {
 
     #[test]
     fn resynth_command_reports_and_writes() {
-        let dir = std::env::temp_dir().join("gtl_cli_test");
-        let out_v = dir.join("resynth.v");
+        let out_v = test_dir("resynth_command_reports_and_writes").join("resynth.v");
         let out = run(&argv(&[
             "resynth",
-            &fixture_path(),
+            &fixture_path("resynth_command_reports_and_writes"),
             "--seeds",
             "10",
             "--min-size",
@@ -842,9 +851,7 @@ mod tests {
 
     #[test]
     fn synth_command_streams_design_to_disk() {
-        let dir = std::env::temp_dir().join("gtl_cli_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("synth.hgr");
+        let path = test_dir("synth_command_streams_design_to_disk").join("synth.hgr");
         let path = path.display().to_string();
         let out = run(&argv(&["synth", "--cells", "500", "--out", &path])).unwrap();
         assert!(out.contains("500 cells"), "{out}");
@@ -863,7 +870,7 @@ mod tests {
 
     #[test]
     fn find_json_matches_session_dispatch() {
-        let path = fixture_path();
+        let path = fixture_path("find_json_matches_session_dispatch");
         let args =
             ["find", &path, "--seeds", "10", "--min-size", "3", "--max-order", "10", "--json"];
         let out = run(&argv(&args)).unwrap();
@@ -879,7 +886,8 @@ mod tests {
 
     #[test]
     fn serve_rejects_bad_flags() {
-        let err = run(&argv(&["serve", &fixture_path(), "--port", "notaport"])).unwrap_err();
+        let path = fixture_path("serve_rejects_bad_flags");
+        let err = run(&argv(&["serve", &path, "--port", "notaport"])).unwrap_err();
         assert_eq!(err.error.code(), "bad_request");
         for flag in [
             "--lanes",
@@ -894,7 +902,7 @@ mod tests {
             "--registry-bytes",
             "--tenant-quota",
         ] {
-            let err = run(&argv(&["serve", &fixture_path(), flag, "bogus"])).unwrap_err();
+            let err = run(&argv(&["serve", &path, flag, "bogus"])).unwrap_err();
             assert_eq!(err.error.code(), "bad_request", "{flag}");
         }
         let err = run(&argv(&["serve"])).unwrap_err();
@@ -907,7 +915,8 @@ mod tests {
         // 0-connection budget is represented as `None` (run forever), so
         // use port 0 + max-conns 1 … which would block. Instead check the
         // summary formatting via the api layer directly.
-        let netlist = load_netlist(&fixture_path()).unwrap();
+        let netlist =
+            load_netlist(&fixture_path("serve_with_zero_budget_reports_summary")).unwrap();
         let session = Session::builder().netlist(netlist).build().unwrap();
         let listener = gtl_api::bind("127.0.0.1:0").unwrap();
         let options = gtl_api::ServeOptions::new().max_connections(Some(0));
@@ -925,7 +934,9 @@ mod tests {
         // Drive one find request through a real server so the kind
         // histogram is populated, then check the rendered exit summary.
         use std::io::{BufRead as _, BufReader, Write as _};
-        let netlist = load_netlist(&fixture_path()).unwrap();
+        let netlist =
+            load_netlist(&fixture_path("serve_summary_prints_percentiles_per_request_kind"))
+                .unwrap();
         let session = Session::builder().netlist(netlist).build().unwrap();
         let listener = gtl_api::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
@@ -956,8 +967,7 @@ mod tests {
     #[test]
     fn loadgen_replay_round_trip_with_expect() {
         use std::io::Write as _;
-        let dir = std::env::temp_dir().join("gtl_cli_test").join("loadgen");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = test_dir("loadgen_replay_round_trip_with_expect");
         let requests_path = dir.join("requests.json");
         let log_path = dir.join("replay.log");
         let summary_path = dir.join("loadgen.json");
@@ -974,7 +984,7 @@ mod tests {
 
         // A fresh 1-connection server per replay: v5 trace stamps depend
         // on accept order, which restarts with the server.
-        let netlist = load_netlist(&fixture_path()).unwrap();
+        let netlist = load_netlist(&fixture_path("loadgen_replay_round_trip_with_expect")).unwrap();
         let serve_options = gtl_api::ServeOptions::new().lanes(1).max_connections(Some(1));
         let replay = |extra: &[&str]| -> Result<String, CliError> {
             let session = Session::builder().netlist(netlist.clone()).build().unwrap();
@@ -1046,9 +1056,7 @@ mod tests {
         assert!(err.to_string().contains("--out"), "{err}");
         // Mode validation happens before the trace file is opened… after
         // parsing, so use a real (empty-ish) trace file.
-        let dir = std::env::temp_dir().join("gtl_cli_test").join("loadgen");
-        std::fs::create_dir_all(&dir).unwrap();
-        let requests = dir.join("one_request.json");
+        let requests = test_dir("loadgen_rejects_bad_arguments").join("one_request.json");
         std::fs::write(&requests, "{\"Stats\":{\"v\":1}}\n").unwrap();
         let err = run(&argv(&[
             "loadgen",

@@ -7,8 +7,6 @@
 //! quantities every metric in the paper is built from: the net cut `T(C)`,
 //! the group size `|C|`, and the pin count of the group.
 
-use std::collections::BTreeMap;
-
 use crate::{CellId, Netlist};
 
 /// A set of cells over a fixed universe `0..universe`, stored as a bitmask.
@@ -285,7 +283,7 @@ pub struct SubsetStats {
 
 impl SubsetStats {
     /// Computes the statistics of `set` against `netlist` in
-    /// `O(Σ deg(v) for v ∈ set)`.
+    /// `O(Σ deg(v) for v ∈ set)`, plus one zeroed counter per net.
     ///
     /// # Panics
     ///
@@ -297,26 +295,27 @@ impl SubsetStats {
             set.universe(),
             netlist.num_cells()
         );
-        // BTreeMap, not HashMap: net visit order must not depend on a
-        // per-process hash seed (no-unordered-iteration-in-compute).
-        let mut inside: BTreeMap<crate::NetId, u32> = BTreeMap::new();
+        // Pins inside the set per net, plus the nets touched, in first-
+        // touch order. The cut and internal counts are sums, so the visit
+        // order does not change them.
+        let mut inside = vec![0u32; netlist.num_nets()];
+        let mut touched = Vec::new();
         let mut pins = 0usize;
         for cell in set.iter() {
             let nets = netlist.cell_nets(cell);
             pins += nets.len();
             for &net in nets {
-                *inside.entry(net).or_insert(0) += 1;
+                if inside[net.index()] == 0 {
+                    touched.push(net);
+                }
+                inside[net.index()] += 1;
             }
         }
-        let mut cut = 0usize;
-        let mut internal = 0usize;
-        for (net, count) in &inside {
-            if (*count as usize) < netlist.net_degree(*net) {
-                cut += 1;
-            } else {
-                internal += 1;
-            }
-        }
+        let cut = touched
+            .iter()
+            .filter(|&&net| (inside[net.index()] as usize) < netlist.net_degree(net))
+            .count();
+        let internal = touched.len() - cut;
         Self { size: set.len(), cut, pins, internal_nets: internal }
     }
 
@@ -336,6 +335,8 @@ impl SubsetStats {
 mod tests {
     use super::*;
     use crate::NetlistBuilder;
+    use proptest::prelude::*;
+    use proptest::strategy::Just;
 
     #[test]
     fn insert_remove_contains() {
@@ -432,7 +433,8 @@ mod tests {
 
     /// Regression for the old HashMap-backed net counter: repeated
     /// computations of the same subset must be identical (the counter
-    /// is now a BTreeMap, so no per-process hash seed is involved).
+    /// is a dense per-net vector, so no per-process hash seed is
+    /// involved).
     #[test]
     fn stats_are_deterministic_across_runs() {
         let mut b = NetlistBuilder::new();
@@ -446,6 +448,46 @@ mod tests {
         let reference = SubsetStats::compute(&nl, &set);
         for _ in 0..5 {
             assert_eq!(SubsetStats::compute(&nl, &set), reference);
+        }
+    }
+
+    /// The statistics by definition: scan every net of the netlist and
+    /// classify it by how many of its pins lie in the set.
+    fn brute_force_stats(nl: &Netlist, set: &CellSet) -> SubsetStats {
+        let mut stats = SubsetStats { size: set.len(), ..SubsetStats::default() };
+        for net in nl.nets() {
+            let inside = nl.net_cells(net).iter().filter(|&&c| set.contains(c)).count();
+            stats.pins += inside;
+            if inside == nl.net_degree(net) && inside > 0 {
+                stats.internal_nets += 1;
+            } else if inside > 0 {
+                stats.cut += 1;
+            }
+        }
+        stats
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// `SubsetStats::compute` agrees with the brute-force scan on
+        /// random netlists and random subsets.
+        #[test]
+        fn compute_matches_brute_force_scan(
+            (n, nets, members) in (1usize..80).prop_flat_map(|n| {
+                let nets = proptest::collection::vec(proptest::collection::vec(0..n, 1..12), 0..120);
+                let members = proptest::collection::vec(0..n, 0..n + 1);
+                (Just(n), nets, members)
+            }),
+        ) {
+            let mut b = NetlistBuilder::new();
+            b.add_anonymous_cells(n);
+            for pins in &nets {
+                b.add_anonymous_net(pins.iter().map(|&p| CellId::new(p)));
+            }
+            let nl = b.finish();
+            let set = CellSet::from_cells(n, members.iter().map(|&c| CellId::new(c)));
+            prop_assert_eq!(SubsetStats::compute(&nl, &set), brute_force_stats(&nl, &set));
         }
     }
 }

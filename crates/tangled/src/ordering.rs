@@ -19,6 +19,16 @@
 //! contribution changes negligibly — while the cut and the absorb counts
 //! stay exact.
 //!
+//! The frontier lives in an indexed binary max-heap with one entry per
+//! frontier cell. Within one growth the weight, the touched-net count
+//! and the absorb count of a cell only ever increase, so a key never
+//! decreases and every update is a sift-up in place. `add_cell` records
+//! each cell whose key changed once and refreshes it once at the end, so
+//! a cell on many of the new cell's nets costs one heap update, not one
+//! per net. The order is total (primary, secondary, then lower cell id),
+//! so the pop order — and every ordering — does not depend on how the
+//! heap is laid out.
+//!
 //! The produced [`LinearOrdering`] records, for every prefix of the order,
 //! the cut `T(C)`, the cumulative pin count, and the number of absorbed
 //! (fully internal) nets, which is everything Phase II needs to evaluate
@@ -47,9 +57,11 @@
 //! ```
 
 use std::cmp::Ordering as CmpOrdering;
-use std::collections::BinaryHeap;
 
 use gtl_netlist::{CellId, Netlist, SubsetStats};
+
+#[cfg(test)]
+mod lazy_reference;
 
 /// Which quantity drives candidate selection during growth.
 ///
@@ -175,10 +187,10 @@ impl LinearOrdering {
     }
 }
 
-/// Max-heap entry holding a precomputed (primary, secondary) key; higher
-/// keys win, then lower cell id (for determinism). Entries are lazy —
-/// stale ones are skipped at pop time by comparing against the current
-/// per-cell values.
+/// Frontier-heap entry: a frontier cell and its current (primary,
+/// secondary) key. Higher keys win, then the lower cell id, so the order
+/// is total and the heap maximum is unique. The heap holds exactly one
+/// entry per frontier cell, refreshed whenever the cell's key rises.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     primary: f64,
@@ -208,6 +220,104 @@ impl Ord for Entry {
     }
 }
 
+/// `FrontierHeap::pos` value of a cell that has no heap entry.
+const ABSENT: u32 = u32::MAX;
+
+/// Indexed binary max-heap over [`Entry`], with the heap slot of every
+/// cell in `pos` so a cell's entry can be found and raised in place.
+#[derive(Debug)]
+struct FrontierHeap {
+    entries: Vec<Entry>,
+    /// Heap slot of each cell's entry, or [`ABSENT`].
+    pos: Vec<u32>,
+}
+
+impl FrontierHeap {
+    fn new(num_cells: usize) -> Self {
+        Self { entries: Vec::new(), pos: vec![ABSENT; num_cells] }
+    }
+
+    /// Inserts `e`, or replaces its cell's entry by `e`. The key must not
+    /// be lower than the one it replaces, so a sift-up restores the heap.
+    fn raise(&mut self, e: Entry) {
+        let slot = match self.pos[e.cell as usize] {
+            ABSENT => {
+                self.entries.push(e);
+                self.entries.len() - 1
+            }
+            slot => {
+                debug_assert!(e >= self.entries[slot as usize], "frontier key decreased");
+                slot as usize
+            }
+        };
+        self.sift_up(slot, e);
+    }
+
+    /// Removes and returns the maximum entry.
+    fn pop(&mut self) -> Option<Entry> {
+        let last = self.entries.pop()?;
+        let top = match self.entries.first() {
+            Some(&top) => {
+                self.sift_down(last);
+                top
+            }
+            None => last,
+        };
+        self.pos[top.cell as usize] = ABSENT;
+        Some(top)
+    }
+
+    /// Moves the hole at `slot` up until `e` fits, then places `e` there.
+    fn sift_up(&mut self, mut slot: usize, e: Entry) {
+        while slot > 0 {
+            let parent = (slot - 1) / 2;
+            let above = self.entries[parent];
+            if above > e {
+                break;
+            }
+            self.place(slot, above);
+            slot = parent;
+        }
+        self.place(slot, e);
+    }
+
+    /// Moves the hole at the root down until `e` fits, then places `e`
+    /// there.
+    fn sift_down(&mut self, e: Entry) {
+        let len = self.entries.len();
+        let mut slot = 0;
+        loop {
+            let left = 2 * slot + 1;
+            if left >= len {
+                break;
+            }
+            let right = left + 1;
+            let child =
+                if right < len && self.entries[right] > self.entries[left] { right } else { left };
+            let below = self.entries[child];
+            if e > below {
+                break;
+            }
+            self.place(slot, below);
+            slot = child;
+        }
+        self.place(slot, e);
+    }
+
+    #[inline]
+    fn place(&mut self, slot: usize, e: Entry) {
+        self.entries[slot] = e;
+        self.pos[e.cell as usize] = slot as u32;
+    }
+
+    /// Empties the heap, clearing `pos` only for the cells it still held.
+    fn clear(&mut self) {
+        for e in self.entries.drain(..) {
+            self.pos[e.cell as usize] = ABSENT;
+        }
+    }
+}
+
 /// Reusable Phase I engine.
 ///
 /// Holds `O(|V| + |E|)` scratch buffers so that running many seeds on the
@@ -229,7 +339,11 @@ pub struct OrderingGrower<'a> {
     cell_dirty: Vec<bool>,
     dirty_cells: Vec<u32>,
     dirty_nets: Vec<u32>,
-    heap: BinaryHeap<Entry>,
+    /// Whether a cell's key changed during the running `add_cell`.
+    key_changed: Vec<bool>,
+    /// The cells with `key_changed` set.
+    changed_cells: Vec<u32>,
+    frontier: FrontierHeap,
 }
 
 impl<'a> OrderingGrower<'a> {
@@ -246,7 +360,9 @@ impl<'a> OrderingGrower<'a> {
             cell_dirty: vec![false; netlist.num_cells()],
             dirty_cells: Vec::new(),
             dirty_nets: Vec::new(),
-            heap: BinaryHeap::new(),
+            key_changed: vec![false; netlist.num_cells()],
+            changed_cells: Vec::new(),
+            frontier: FrontierHeap::new(netlist.num_cells()),
         }
     }
 
@@ -301,24 +417,9 @@ impl<'a> OrderingGrower<'a> {
         self.add_cell(seed, &mut cut, &mut pins, &mut absorbed, out);
 
         while out.cells.len() < self.config.max_len {
-            let Some(next) = self.pop_best() else { break };
-            self.add_cell(next, &mut cut, &mut pins, &mut absorbed, out);
+            let Some(next) = self.frontier.pop() else { break };
+            self.add_cell(CellId::from(next.cell), &mut cut, &mut pins, &mut absorbed, out);
         }
-    }
-
-    /// Pops the best live frontier cell, skipping stale heap entries.
-    fn pop_best(&mut self) -> Option<CellId> {
-        while let Some(e) = self.heap.pop() {
-            let c = e.cell as usize;
-            if self.in_group[c] {
-                continue;
-            }
-            let (primary, secondary) = self.keys(CellId::from(e.cell));
-            if e.primary == primary && e.secondary == secondary {
-                return Some(CellId::from(e.cell));
-            }
-        }
-        None
     }
 
     /// The (primary, secondary) max-heap key of a frontier cell under the
@@ -350,10 +451,14 @@ impl<'a> OrderingGrower<'a> {
         }
     }
 
+    /// Records that `cell`'s key changed; `add_cell` refreshes its heap
+    /// entry once at the end.
     #[inline]
-    fn push_entry(&mut self, cell: CellId) {
-        let (primary, secondary) = self.keys(cell);
-        self.heap.push(Entry { primary, secondary, cell: cell.raw() });
+    fn mark_changed(&mut self, cell: CellId) {
+        if !self.key_changed[cell.index()] {
+            self.key_changed[cell.index()] = true;
+            self.changed_cells.push(cell.raw());
+        }
     }
 
     fn add_cell(
@@ -399,7 +504,7 @@ impl<'a> OrderingGrower<'a> {
                     self.mark_dirty(u);
                     self.touched_nets[u.index()] += 1;
                     self.weight[u.index()] += w;
-                    self.push_entry(u);
+                    self.mark_changed(u);
                 }
             } else {
                 // The net shrank by one outside pin; update frontier weights
@@ -414,7 +519,7 @@ impl<'a> OrderingGrower<'a> {
                         }
                         self.mark_dirty(u);
                         self.weight[u.index()] += dw;
-                        self.push_entry(u);
+                        self.mark_changed(u);
                     }
                 }
             }
@@ -427,11 +532,19 @@ impl<'a> OrderingGrower<'a> {
                     if !self.in_group[u.index()] {
                         self.mark_dirty(u);
                         self.absorb[u.index()] += 1;
-                        self.push_entry(u);
+                        self.mark_changed(u);
                         break;
                     }
                 }
             }
+        }
+
+        // The refresh order shapes the heap but not the pop order, which
+        // the total order on entries fixes.
+        while let Some(raw) = self.changed_cells.pop() {
+            self.key_changed[raw as usize] = false;
+            let (primary, secondary) = self.keys(CellId::from(raw));
+            self.frontier.raise(Entry { primary, secondary, cell: raw });
         }
 
         ordering.cells.push(v);
@@ -453,7 +566,7 @@ impl<'a> OrderingGrower<'a> {
         for raw in self.dirty_nets.drain(..) {
             self.net_inside[raw as usize] = 0;
         }
-        self.heap.clear();
+        self.frontier.clear();
     }
 }
 
@@ -461,6 +574,8 @@ impl<'a> OrderingGrower<'a> {
 mod tests {
     use super::*;
     use gtl_netlist::{CellSet, NetlistBuilder};
+    use proptest::prelude::*;
+    use proptest::strategy::Just;
 
     /// Builds two 5-cliques bridged by a single 2-pin net.
     fn two_cliques() -> (Netlist, Vec<CellId>) {
@@ -668,5 +783,114 @@ mod tests {
         let (nl, _) = two_cliques();
         let mut g = OrderingGrower::new(&nl, GrowthConfig::default());
         let _ = g.grow(CellId::new(999));
+    }
+
+    /// A random netlist: mostly small nets plus a few wide ones, so that
+    /// both sides of every `lambda_threshold` in the tests are hit.
+    fn random_netlist() -> impl Strategy<Value = Netlist> {
+        (2usize..60)
+            .prop_flat_map(|n| {
+                let small = proptest::collection::vec(proptest::collection::vec(0..n, 1..5), 0..90);
+                let wide = proptest::collection::vec(proptest::collection::vec(0..n, 5..40), 0..4);
+                (Just(n), small, wide)
+            })
+            .prop_map(|(n, small, wide)| {
+                let mut b = NetlistBuilder::new();
+                b.add_anonymous_cells(n);
+                for pins in small.iter().chain(&wide) {
+                    b.add_anonymous_net(pins.iter().map(|&p| CellId::new(p)));
+                }
+                b.finish()
+            })
+    }
+
+    /// A growth configuration from the test's index ranges.
+    fn config(criterion: usize, lambda: usize, max_len: usize) -> GrowthConfig {
+        GrowthConfig {
+            max_len,
+            lambda_threshold: [1, 20, usize::MAX][lambda],
+            criterion: [GrowthCriterion::WeightFirst, GrowthCriterion::CutFirst][criterion],
+        }
+    }
+
+    /// Checks the frontier heap between growth steps: it holds exactly
+    /// the frontier (cells outside the group on a touched net), each
+    /// entry carries its cell's current key, `pos` points at every entry
+    /// and at nothing else, and the heap property holds.
+    fn assert_frontier_consistent(g: &OrderingGrower<'_>) {
+        let heap = &g.frontier;
+        for (slot, e) in heap.entries.iter().enumerate() {
+            let cell = CellId::from(e.cell);
+            assert_eq!(heap.pos[cell.index()] as usize, slot, "pos of {cell}");
+            assert!(!g.in_group[cell.index()], "in-group cell {cell} in the heap");
+            let (primary, secondary) = g.keys(cell);
+            assert_eq!(e.primary.to_bits(), primary.to_bits(), "stale primary of {cell}");
+            assert_eq!(e.secondary.to_bits(), secondary.to_bits(), "stale secondary of {cell}");
+            if slot > 0 {
+                assert!(heap.entries[(slot - 1) / 2] > *e, "heap order at slot {slot}");
+            }
+        }
+        for c in 0..g.netlist.num_cells() {
+            let frontier = !g.in_group[c] && g.touched_nets[c] > 0;
+            assert_eq!(heap.pos[c] != ABSENT, frontier, "frontier membership of c{c}");
+            assert!(!g.key_changed[c], "key_changed left set on c{c}");
+        }
+        assert!(g.changed_cells.is_empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The indexed-heap grower returns exactly the ordering of the
+        /// lazy-heap grower it replaced, for both criteria, every
+        /// `lambda_threshold` regime and `max_len` clipping, with one
+        /// grower and one output buffer reused across several seeds.
+        #[test]
+        fn indexed_heap_matches_lazy_heap_oracle(
+            nl in random_netlist(),
+            criterion in 0usize..2,
+            lambda in 0usize..3,
+            max_len in 1usize..70,
+            seeds in proptest::collection::vec(0usize..60, 1..6),
+        ) {
+            let cfg = config(criterion, lambda, max_len);
+            let mut grower = OrderingGrower::new(&nl, cfg);
+            let mut oracle = lazy_reference::LazyGrower::new(&nl, cfg);
+            let mut reused = LinearOrdering::new();
+            for seed in seeds {
+                let seed = CellId::new(seed % nl.num_cells());
+                grower.grow_into(seed, &mut reused);
+                let mut expected = LinearOrdering::new();
+                oracle.grow_into(seed, &mut expected);
+                prop_assert_eq!(&reused, &expected);
+            }
+        }
+
+        /// After every accepted cell — each `max_len` stops the growth
+        /// right after that many cells — the heap holds exactly the
+        /// frontier with consistent positions, also when the grower
+        /// was used for an earlier growth.
+        #[test]
+        fn heap_holds_exactly_the_frontier_after_every_cell(
+            nl in random_netlist(),
+            criterion in 0usize..2,
+            lambda in 0usize..3,
+            seeds in (0usize..60, 0usize..60),
+        ) {
+            let mut g = OrderingGrower::new(&nl, config(criterion, lambda, usize::MAX));
+            let earlier = CellId::new(seeds.0 % nl.num_cells());
+            let seed = CellId::new(seeds.1 % nl.num_cells());
+            let mut out = LinearOrdering::new();
+            g.grow_into(seed, &mut out);
+            let full = out.len();
+            for k in 1..=full {
+                g.config.max_len = usize::MAX;
+                g.grow_into(earlier, &mut out);
+                g.config.max_len = k;
+                g.grow_into(seed, &mut out);
+                prop_assert_eq!(out.len(), k);
+                assert_frontier_consistent(&g);
+            }
+        }
     }
 }

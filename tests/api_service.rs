@@ -1,15 +1,15 @@
 //! The PR-acceptance contract, end to end: `gtl find --json` and a
 //! `gtl serve` TCP round-trip produce **byte-identical** `FindResponse`
 //! JSON, for 1, 2 and 8 workers — plus the frozen-wire golden replays
-//! (v1 Find, v4 session administration) against the checked-in bytes
-//! in `tests/golden/`.
+//! (v1 Find, v4 session administration, v1/v4 Place and Stats) against
+//! the checked-in bytes in `tests/golden/`.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 
 use gtl_api::{
-    FindRequest, ListSessionsRequest, LoadNetlistRequest, Request, ServeOptions, Session,
-    UnloadNetlistRequest,
+    FindRequest, ListSessionsRequest, LoadNetlistRequest, PlaceRequest, Request, ServeOptions,
+    Session, StatsRequest, UnloadNetlistRequest,
 };
 use gtl_tangled::ordering::GrowthCriterion;
 use gtl_tangled::{FinderConfig, MetricKind};
@@ -197,6 +197,55 @@ fn golden_v4_session_script_replay() {
     assert_eq!(requests, render(&script), "v4 golden request bytes changed");
     let responses = std::fs::read_to_string(&responses_path).unwrap();
     assert_eq!(responses, render(&got), "v4 golden response bytes changed");
+}
+
+/// The Place and Stats golden: v1 and v4 requests of both kinds, one
+/// of each with non-default parameters, answered by
+/// `Session::handle_line`. Checked-in request *and* response bytes stay
+/// frozen; `GTL_BLESS=1` regenerates them. The requests stop at v4, so
+/// the bytes carry no trace stamp and CI replays the same files over
+/// TCP with `gtl loadgen replay --expect`.
+#[test]
+fn golden_place_and_stats_handle_line_is_frozen() {
+    let mut stats_v1 = StatsRequest::new();
+    stats_v1.v = 1;
+    let mut place_v1 = PlaceRequest::new();
+    place_v1.v = 1;
+    let mut stats_v4 = StatsRequest::new();
+    stats_v4.v = 4;
+    let mut place_v4 = PlaceRequest::new();
+    place_v4.v = 4;
+    place_v4.utilization = 0.5;
+    place_v4.placer.seed = 7;
+    place_v4.placer.threads = 2;
+    place_v4.routing.tiles = 8;
+    let script: Vec<String> = [
+        Request::Stats(stats_v1),
+        Request::Place(place_v1),
+        Request::Stats(stats_v4),
+        Request::Place(place_v4),
+    ]
+    .iter()
+    .map(serde::json::to_string)
+    .collect();
+    let session = Session::builder().load(&fixture_path()).unwrap().build().unwrap();
+    let got: Vec<String> = script.iter().map(|line| session.handle_line(line)).collect();
+    for line in &got {
+        assert!(!line.starts_with("{\"Error\""), "{line}");
+    }
+
+    let requests_path = golden_dir().join("serve_place_stats_requests.json");
+    let responses_path = golden_dir().join("serve_place_stats_responses.json");
+    let render = |lines: &[String]| lines.join("\n") + "\n";
+    if std::env::var("GTL_BLESS").is_ok() {
+        std::fs::write(&requests_path, render(&script)).unwrap();
+        std::fs::write(&responses_path, render(&got)).unwrap();
+        return;
+    }
+    let requests = std::fs::read_to_string(&requests_path).unwrap();
+    assert_eq!(requests, render(&script), "Place/Stats golden request bytes changed");
+    let responses = std::fs::read_to_string(&responses_path).unwrap();
+    assert_eq!(responses, render(&got), "Place/Stats golden response bytes changed");
 }
 
 /// The v5 golden script: the same session-administration shape as the
