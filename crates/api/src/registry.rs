@@ -481,7 +481,8 @@ mod tests {
     /// Writes a ring netlist of `n` cells as `<name>.hgr` under a fresh
     /// per-test directory; returns the directory.
     fn netlist_dir(test: &str, rings: &[(&str, usize)]) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("gtl_api_registry_{test}"));
+        let dir =
+            std::env::temp_dir().join(format!("gtl_api_registry-{}-{test}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         for (name, n) in rings {
             let mut text = format!("{n} {n}\n");

@@ -40,7 +40,8 @@ fn ring(n: usize) -> Netlist {
 /// Writes each `(name, n)` ring as `<name>.hgr` under a fresh per-test
 /// directory and returns the directory.
 fn netlist_dir(test: &str, rings: &[(&str, usize)]) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("gtl_registry_serve_{test}"));
+    let dir =
+        std::env::temp_dir().join(format!("gtl_registry_serve-{}-{test}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     for (name, n) in rings {
         let mut text = format!("{n} {n}\n");

@@ -409,7 +409,10 @@ mod tests {
 
     #[test]
     fn run_gate_fails_on_missing_files() {
-        let dir = std::env::temp_dir().join("gtl_trend_missing");
+        let dir = std::env::temp_dir().join(format!(
+            "gtl_trend_missing-{}-run_gate_fails_on_missing_files",
+            std::process::id()
+        ));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let err = run_gate(&dir, &dir, 0.3).unwrap_err();
@@ -418,7 +421,8 @@ mod tests {
 
     #[test]
     fn run_gate_reads_real_files() {
-        let dir = std::env::temp_dir().join("gtl_trend_ok");
+        let dir = std::env::temp_dir()
+            .join(format!("gtl_trend_ok-{}-run_gate_reads_real_files", std::process::id()));
         let results = dir.join("results");
         let baselines = dir.join("baselines");
         std::fs::create_dir_all(&results).unwrap();

@@ -136,7 +136,8 @@ mod tests {
 
     #[test]
     fn file_roundtrip() {
-        let dir = std::env::temp_dir().join("gtl_loadgen_trace_test");
+        let dir = std::env::temp_dir()
+            .join(format!("gtl_loadgen_trace_test-{}-file_roundtrip", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.jsonl");
         let records = sample_records();
@@ -146,7 +147,10 @@ mod tests {
 
     #[test]
     fn comments_and_blanks_skipped() {
-        let dir = std::env::temp_dir().join("gtl_loadgen_trace_test");
+        let dir = std::env::temp_dir().join(format!(
+            "gtl_loadgen_trace_test-{}-comments_and_blanks_skipped",
+            std::process::id()
+        ));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("comments.jsonl");
         let body = format!("# recorded by test\n\n{}\n", render_line(&sample_records()[0]));

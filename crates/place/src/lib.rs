@@ -12,7 +12,8 @@
 //!   boosted-anchor epilogue, region-sharded onto `gtl_core::exec`
 //!   (byte-identical for any worker count);
 //! * [`spread`] — recursive-bisection density spreading (order-preserving,
-//!   separates stacked clusters coherently);
+//!   separates stacked clusters coherently), presorted per axis with its
+//!   subtrees fanned out onto `gtl_core::exec`;
 //! * [`legal`] — a Tetris row legalizer;
 //! * [`detailed`] — greedy equal-width swap refinement;
 //! * [`wirelength`] — HPWL / star / rectilinear-MST models and per-net

@@ -28,6 +28,26 @@ fn sharded_placement_identical_for_1_2_8_workers() {
     }
 }
 
+/// The spreading step fans its bisection subtrees out over the workers
+/// (`spread.rs`: serial down to depth 4, then at most 16 independent
+/// subtrees), so a global (1×1) placement must be byte-identical
+/// for 1, 2 and 8 workers too.
+#[test]
+fn spread_fanout_placement_identical_for_1_2_8_workers() {
+    let g = testbed();
+    // Reaching the fan-out depth needs a region at depth 4: with cells
+    // split about evenly, all 16 regions there must hold more than the
+    // loose-leaf bound of 4 × `leaf_cells` cells.
+    let leaf_cells = PlacerConfig::default().spread.leaf_cells;
+    assert!(g.netlist.num_cells() > 16 * 4 * leaf_cells, "fixture too small to fan out");
+    let die = Die::for_netlist(&g.netlist, 0.6);
+    let config = |threads| PlacerConfig { shard_grid: 1, threads, ..PlacerConfig::default() };
+    let baseline = place(&g.netlist, &die, &config(1));
+    for threads in [2, 8] {
+        assert_eq!(baseline, place(&g.netlist, &die, &config(threads)), "{threads} workers");
+    }
+}
+
 /// The sharded decomposition must genuinely run multi-shard on this
 /// fixture (otherwise the test above degenerates to the global path):
 /// the placed cells must spread over most of the 3×3 region grid, so the

@@ -309,7 +309,8 @@ mod tests {
 
     #[test]
     fn file_writer_roundtrips() {
-        let dir = std::env::temp_dir().join("gtl_synth_stream_test");
+        let dir = std::env::temp_dir()
+            .join(format!("gtl_synth_stream_test-{}-file_writer_roundtrips", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("streamed.hgr");
         let stats = write_hgr_file(&StreamDesignConfig::new(800), &path).unwrap();
