@@ -20,14 +20,23 @@
 //! stay exact.
 //!
 //! The frontier lives in an indexed binary max-heap with one entry per
-//! frontier cell. Within one growth the weight, the touched-net count
-//! and the absorb count of a cell only ever increase, so a key never
-//! decreases and every update is a sift-up in place. `add_cell` records
-//! each cell whose key changed once and refreshes it once at the end, so
-//! a cell on many of the new cell's nets costs one heap update, not one
-//! per net. The order is total (primary, secondary, then lower cell id),
-//! so the pop order — and every ordering — does not depend on how the
-//! heap is laid out.
+//! frontier cell. Each entry is a single `u128` key whose integer order
+//! is the selection order: the order-preserving bit images of the primary
+//! and secondary criteria (the `total_cmp` image of the weight, the
+//! reversed image of the cut increase) above `!cell`, so a sift step is
+//! one integer compare and a tie goes to the lower cell id. Within one
+//! growth the weight, the touched-net count and the absorb count of a
+//! cell only ever increase, so a key never decreases and every update is
+//! a sift-up in place. `add_cell` records each cell whose key changed
+//! once and refreshes it once at the end, so a cell on many of the new
+//! cell's nets costs one heap update, not one per net. The order is
+//! total, so the pop order — and every ordering — does not depend on how
+//! the heap is laid out.
+//!
+//! All per-cell state (weight, touched-net and absorb counts, heap slot,
+//! and the in-group/dirty/changed flags) sits in one 24-byte record, so a
+//! pin visit touches one record — usually one cache line — instead of a
+//! slot in each of several arrays.
 //!
 //! The produced [`LinearOrdering`] records, for every prefix of the order,
 //! the cut `T(C)`, the cumulative pin count, and the number of absorbed
@@ -56,6 +65,7 @@
 //! assert_eq!(ordering.cut_at(3), 0);     // whole graph absorbed
 //! ```
 
+#[cfg(test)]
 use std::cmp::Ordering as CmpOrdering;
 
 use gtl_netlist::{CellId, Netlist, SubsetStats};
@@ -187,10 +197,11 @@ impl LinearOrdering {
     }
 }
 
-/// Frontier-heap entry: a frontier cell and its current (primary,
-/// secondary) key. Higher keys win, then the lower cell id, so the order
-/// is total and the heap maximum is unique. The heap holds exactly one
-/// entry per frontier cell, refreshed whenever the cell's key rises.
+/// The (primary, secondary, cell) comparator of the `f64`-keyed heap
+/// entries the packed keys replaced: higher keys win, then the lower cell
+/// id. Kept as the oracle for the packed-key images and for the lazy-heap
+/// reference grower.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     primary: f64,
@@ -198,19 +209,23 @@ struct Entry {
     cell: u32,
 }
 
+#[cfg(test)]
 impl PartialEq for Entry {
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == CmpOrdering::Equal
     }
 }
+#[cfg(test)]
 impl Eq for Entry {}
 
+#[cfg(test)]
 impl PartialOrd for Entry {
     fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
         Some(self.cmp(other))
     }
 }
 
+#[cfg(test)]
 impl Ord for Entry {
     fn cmp(&self, other: &Self) -> CmpOrdering {
         self.primary
@@ -220,71 +235,121 @@ impl Ord for Entry {
     }
 }
 
-/// `FrontierHeap::pos` value of a cell that has no heap entry.
+/// The heap key of a frontier cell: one integer whose order is the
+/// (primary, secondary, lower cell id) order of the growth criterion.
+///
+/// The weight enters as its `f64::total_cmp` image and the cut term as
+/// the reversed image of `delta_cut`, i.e. the order of `-delta_cut` (the
+/// `f64` key `-(delta_cut as f64)` never takes `+0.0`, so the orders
+/// agree). `WeightFirst` packs (weight:64, cut:32, !cell:32) and
+/// `CutFirst` packs (cut:32, weight:64, !cell:32).
+#[inline]
+fn pack_key(criterion: GrowthCriterion, weight: f64, delta_cut: i32, cell: u32) -> u128 {
+    let bits = weight.to_bits();
+    let w = (if bits >> 63 == 0 { bits | 1 << 63 } else { !bits }) as u128;
+    let d = !(delta_cut as u32 ^ 1 << 31) as u128;
+    let high = match criterion {
+        GrowthCriterion::WeightFirst => w << 32 | d,
+        GrowthCriterion::CutFirst => d << 64 | w,
+    };
+    high << 32 | !cell as u128
+}
+
+/// The cell a packed key belongs to.
+#[inline]
+fn key_cell(key: u128) -> u32 {
+    !(key as u32)
+}
+
+/// `CellState::pos` value of a cell that has no heap entry.
 const ABSENT: u32 = u32::MAX;
 
-/// Indexed binary max-heap over [`Entry`], with the heap slot of every
-/// cell in `pos` so a cell's entry can be found and raised in place.
-#[derive(Debug)]
+/// `CellState::flags` bit: the cell is in the group.
+const IN_GROUP: u8 = 1;
+/// `CellState::flags` bit: the cell is on the dirty list.
+const DIRTY: u8 = 2;
+/// `CellState::flags` bit: the cell's key changed during the running
+/// `add_cell` and is on the changed list.
+const CHANGED: u8 = 4;
+
+/// Everything growth keeps per cell, in 24 bytes, so a pin visit reads
+/// and writes one record (usually one cache line).
+#[derive(Debug, Clone, Copy)]
+struct CellState {
+    /// Connection weight (frontier cells).
+    weight: f64,
+    /// Incident nets that are touched (≥ 1 pin inside).
+    touched: u32,
+    /// Incident nets where the cell is the only outside pin.
+    absorb: u32,
+    /// Heap slot of the cell's entry, or [`ABSENT`].
+    pos: u32,
+    flags: u8,
+}
+
+const _: () = assert!(std::mem::size_of::<CellState>() == 24);
+
+const FRESH: CellState = CellState { weight: 0.0, touched: 0, absorb: 0, pos: ABSENT, flags: 0 };
+
+/// Indexed binary max-heap of packed keys; each cell's slot lives in its
+/// [`CellState::pos`], so an entry can be found and raised in place.
+#[derive(Debug, Default)]
 struct FrontierHeap {
-    entries: Vec<Entry>,
-    /// Heap slot of each cell's entry, or [`ABSENT`].
-    pos: Vec<u32>,
+    keys: Vec<u128>,
 }
 
 impl FrontierHeap {
-    fn new(num_cells: usize) -> Self {
-        Self { entries: Vec::new(), pos: vec![ABSENT; num_cells] }
-    }
-
-    /// Inserts `e`, or replaces its cell's entry by `e`. The key must not
-    /// be lower than the one it replaces, so a sift-up restores the heap.
-    fn raise(&mut self, e: Entry) {
-        let slot = match self.pos[e.cell as usize] {
+    /// Inserts `key`, or replaces its cell's entry by `key`. The key must
+    /// not be lower than the one it replaces, so a sift-up restores the
+    /// heap.
+    fn raise(&mut self, cells: &mut [CellState], key: u128) {
+        let slot = match cells[key_cell(key) as usize].pos {
             ABSENT => {
-                self.entries.push(e);
-                self.entries.len() - 1
+                self.keys.push(key);
+                self.keys.len() - 1
             }
             slot => {
-                debug_assert!(e >= self.entries[slot as usize], "frontier key decreased");
+                debug_assert!(key >= self.keys[slot as usize], "frontier key decreased");
                 slot as usize
             }
         };
-        self.sift_up(slot, e);
+        self.sift_up(cells, slot, key);
     }
 
-    /// Removes and returns the maximum entry.
-    fn pop(&mut self) -> Option<Entry> {
-        let last = self.entries.pop()?;
-        let top = match self.entries.first() {
+    /// Removes the maximum entry and returns its cell.
+    fn pop(&mut self, cells: &mut [CellState]) -> Option<u32> {
+        let last = self.keys.pop()?;
+        let top = match self.keys.first() {
             Some(&top) => {
-                self.sift_down(last);
+                self.sift_down(cells, last);
                 top
             }
             None => last,
         };
-        self.pos[top.cell as usize] = ABSENT;
-        Some(top)
+        let cell = key_cell(top);
+        cells[cell as usize].pos = ABSENT;
+        Some(cell)
     }
 
-    /// Moves the hole at `slot` up until `e` fits, then places `e` there.
-    fn sift_up(&mut self, mut slot: usize, e: Entry) {
+    /// Moves the hole at `slot` up until `key` fits, then places `key`
+    /// there.
+    fn sift_up(&mut self, cells: &mut [CellState], mut slot: usize, key: u128) {
         while slot > 0 {
             let parent = (slot - 1) / 2;
-            let above = self.entries[parent];
-            if above > e {
+            let above = self.keys[parent];
+            if above > key {
                 break;
             }
-            self.place(slot, above);
+            self.place(cells, slot, above);
             slot = parent;
         }
-        self.place(slot, e);
+        self.place(cells, slot, key);
     }
 
-    /// Moves the hole at the root down until `e` fits, then places `e`
-    /// there.
-    fn sift_down(&mut self, e: Entry) {
-        let len = self.entries.len();
+    /// Moves the hole at the root down until `key` fits, then places
+    /// `key` there.
+    fn sift_down(&mut self, cells: &mut [CellState], key: u128) {
+        let len = self.keys.len();
         let mut slot = 0;
         loop {
             let left = 2 * slot + 1;
@@ -293,28 +358,21 @@ impl FrontierHeap {
             }
             let right = left + 1;
             let child =
-                if right < len && self.entries[right] > self.entries[left] { right } else { left };
-            let below = self.entries[child];
-            if e > below {
+                if right < len && self.keys[right] > self.keys[left] { right } else { left };
+            let below = self.keys[child];
+            if key > below {
                 break;
             }
-            self.place(slot, below);
+            self.place(cells, slot, below);
             slot = child;
         }
-        self.place(slot, e);
+        self.place(cells, slot, key);
     }
 
     #[inline]
-    fn place(&mut self, slot: usize, e: Entry) {
-        self.entries[slot] = e;
-        self.pos[e.cell as usize] = slot as u32;
-    }
-
-    /// Empties the heap, clearing `pos` only for the cells it still held.
-    fn clear(&mut self) {
-        for e in self.entries.drain(..) {
-            self.pos[e.cell as usize] = ABSENT;
-        }
+    fn place(&mut self, cells: &mut [CellState], slot: usize, key: u128) {
+        self.keys[slot] = key;
+        cells[key_cell(key) as usize].pos = slot as u32;
     }
 }
 
@@ -327,21 +385,13 @@ impl FrontierHeap {
 pub struct OrderingGrower<'a> {
     netlist: &'a Netlist,
     config: GrowthConfig,
-    in_group: Vec<bool>,
+    cells: Vec<CellState>,
     /// Pins of each net inside the group.
     net_inside: Vec<u32>,
-    /// Current connection weight of each frontier cell.
-    weight: Vec<f64>,
-    /// Incident nets of each cell that are touched (≥ 1 pin inside).
-    touched_nets: Vec<u32>,
-    /// Incident nets of each cell where the cell is the only outside pin.
-    absorb: Vec<u32>,
-    cell_dirty: Vec<bool>,
+    /// The cells with [`DIRTY`] set.
     dirty_cells: Vec<u32>,
     dirty_nets: Vec<u32>,
-    /// Whether a cell's key changed during the running `add_cell`.
-    key_changed: Vec<bool>,
-    /// The cells with `key_changed` set.
+    /// The cells with [`CHANGED`] set.
     changed_cells: Vec<u32>,
     frontier: FrontierHeap,
 }
@@ -352,17 +402,12 @@ impl<'a> OrderingGrower<'a> {
         Self {
             netlist,
             config,
-            in_group: vec![false; netlist.num_cells()],
+            cells: vec![FRESH; netlist.num_cells()],
             net_inside: vec![0; netlist.num_nets()],
-            weight: vec![0.0; netlist.num_cells()],
-            touched_nets: vec![0; netlist.num_cells()],
-            absorb: vec![0; netlist.num_cells()],
-            cell_dirty: vec![false; netlist.num_cells()],
             dirty_cells: Vec::new(),
             dirty_nets: Vec::new(),
-            key_changed: vec![false; netlist.num_cells()],
             changed_cells: Vec::new(),
-            frontier: FrontierHeap::new(netlist.num_cells()),
+            frontier: FrontierHeap::default(),
         }
     }
 
@@ -414,75 +459,69 @@ impl<'a> OrderingGrower<'a> {
         let mut pins = 0u64;
         let mut absorbed = 0i64;
 
-        self.add_cell(seed, &mut cut, &mut pins, &mut absorbed, out);
+        self.add_cell(seed.raw(), &mut cut, &mut pins, &mut absorbed, out);
 
         while out.cells.len() < self.config.max_len {
-            let Some(next) = self.frontier.pop() else { break };
-            self.add_cell(CellId::from(next.cell), &mut cut, &mut pins, &mut absorbed, out);
+            let Some(next) = self.frontier.pop(&mut self.cells) else { break };
+            self.add_cell(next, &mut cut, &mut pins, &mut absorbed, out);
         }
     }
 
-    /// The (primary, secondary) max-heap key of a frontier cell under the
-    /// configured criterion.
+    /// The packed heap key of a frontier cell under the configured
+    /// criterion.
     #[inline]
-    fn keys(&self, cell: CellId) -> (f64, f64) {
-        let w = self.weight[cell.index()];
-        let d = -(self.delta_cut(cell) as f64); // higher = smaller cut growth
-        match self.config.criterion {
-            GrowthCriterion::WeightFirst => (w, d),
-            GrowthCriterion::CutFirst => (d, w),
-        }
+    fn key(&self, cell: u32) -> u128 {
+        let s = &self.cells[cell as usize];
+        // Cut increase if the cell were added now: new nets touched
+        // minus nets absorbed (the cell is their last outside pin).
+        let untouched = self.netlist.cell_degree(CellId::from(cell)) as i32 - s.touched as i32;
+        pack_key(self.config.criterion, s.weight, untouched - s.absorb as i32, cell)
     }
 
-    /// Cut increase if `cell` were added now: new nets touched minus nets
-    /// absorbed (cell is their last outside pin). Used as tie-break.
+    /// Marks an outside cell's key as changed (and the cell dirty) and
+    /// returns its state; `add_cell` refreshes its heap entry once at
+    /// the end. Returns `None` for a cell in the group.
     #[inline]
-    fn delta_cut(&self, cell: CellId) -> i32 {
-        let untouched =
-            self.netlist.cell_degree(cell) as i32 - self.touched_nets[cell.index()] as i32;
-        untouched - self.absorb[cell.index()] as i32
-    }
-
-    #[inline]
-    fn mark_dirty(&mut self, cell: CellId) {
-        if !self.cell_dirty[cell.index()] {
-            self.cell_dirty[cell.index()] = true;
-            self.dirty_cells.push(cell.raw());
+    fn outside_changed(&mut self, u: CellId) -> Option<&mut CellState> {
+        let s = &mut self.cells[u.index()];
+        if s.flags & (IN_GROUP | CHANGED) == 0 {
+            // CHANGED implies DIRTY, so only an unchanged cell can be new.
+            if s.flags & DIRTY == 0 {
+                self.dirty_cells.push(u.raw());
+            }
+            s.flags |= DIRTY | CHANGED;
+            self.changed_cells.push(u.raw());
         }
-    }
-
-    /// Records that `cell`'s key changed; `add_cell` refreshes its heap
-    /// entry once at the end.
-    #[inline]
-    fn mark_changed(&mut self, cell: CellId) {
-        if !self.key_changed[cell.index()] {
-            self.key_changed[cell.index()] = true;
-            self.changed_cells.push(cell.raw());
-        }
+        (s.flags & IN_GROUP == 0).then_some(s)
     }
 
     fn add_cell(
         &mut self,
-        v: CellId,
+        v: u32,
         cut: &mut i64,
         pins: &mut u64,
         absorbed: &mut i64,
         ordering: &mut LinearOrdering,
     ) {
-        debug_assert!(!self.in_group[v.index()]);
-        self.mark_dirty(v);
-        self.in_group[v.index()] = true;
-        *pins += self.netlist.cell_degree(v) as u64;
+        let netlist = self.netlist;
+        let vid = CellId::from(v);
+        let s = &mut self.cells[v as usize];
+        debug_assert!(s.flags & IN_GROUP == 0);
+        if s.flags & DIRTY == 0 {
+            self.dirty_cells.push(v);
+        }
+        s.flags |= IN_GROUP | DIRTY;
+        *pins += netlist.cell_degree(vid) as u64;
 
-        for i in 0..self.netlist.cell_nets(v).len() {
-            let net = self.netlist.cell_nets(v)[i];
-            let deg = self.netlist.net_degree(net);
+        for &net in netlist.cell_nets(vid) {
+            let pins_of = netlist.net_cells(net);
+            let deg = pins_of.len();
             let old_in = self.net_inside[net.index()] as usize;
             if old_in == 0 {
                 self.dirty_nets.push(net.raw());
             }
-            self.net_inside[net.index()] = (old_in + 1) as u32;
             let new_in = old_in + 1;
+            self.net_inside[net.index()] = new_in as u32;
 
             let was_cut = old_in > 0 && old_in < deg;
             let is_cut = new_in < deg; // new_in > 0 always
@@ -496,15 +535,11 @@ impl<'a> OrderingGrower<'a> {
                 // First touch: every other pin becomes (or strengthens) a
                 // frontier cell.
                 let w = 1.0 / (outside_new as f64 + 1.0);
-                for j in 0..deg {
-                    let u = self.netlist.net_cells(net)[j];
-                    if u == v || self.in_group[u.index()] {
-                        continue;
+                for &u in pins_of {
+                    if let Some(s) = self.outside_changed(u) {
+                        s.touched += 1;
+                        s.weight += w;
                     }
-                    self.mark_dirty(u);
-                    self.touched_nets[u.index()] += 1;
-                    self.weight[u.index()] += w;
-                    self.mark_changed(u);
                 }
             } else {
                 // The net shrank by one outside pin; update frontier weights
@@ -512,14 +547,10 @@ impl<'a> OrderingGrower<'a> {
                 let outside_old = deg - old_in;
                 if outside_old < self.config.lambda_threshold.saturating_add(1) {
                     let dw = 1.0 / (outside_new as f64 + 1.0) - 1.0 / (outside_old as f64 + 1.0);
-                    for j in 0..deg {
-                        let u = self.netlist.net_cells(net)[j];
-                        if self.in_group[u.index()] {
-                            continue;
+                    for &u in pins_of {
+                        if let Some(s) = self.outside_changed(u) {
+                            s.weight += dw;
                         }
-                        self.mark_dirty(u);
-                        self.weight[u.index()] += dw;
-                        self.mark_changed(u);
                     }
                 }
             }
@@ -527,12 +558,9 @@ impl<'a> OrderingGrower<'a> {
             if outside_new == 1 {
                 // Exactly one pin remains outside: adding it would absorb
                 // the net. Track for the min-cut tie-break.
-                for j in 0..deg {
-                    let u = self.netlist.net_cells(net)[j];
-                    if !self.in_group[u.index()] {
-                        self.mark_dirty(u);
-                        self.absorb[u.index()] += 1;
-                        self.mark_changed(u);
+                for &u in pins_of {
+                    if let Some(s) = self.outside_changed(u) {
+                        s.absorb += 1;
                         break;
                     }
                 }
@@ -540,14 +568,14 @@ impl<'a> OrderingGrower<'a> {
         }
 
         // The refresh order shapes the heap but not the pop order, which
-        // the total order on entries fixes.
-        while let Some(raw) = self.changed_cells.pop() {
-            self.key_changed[raw as usize] = false;
-            let (primary, secondary) = self.keys(CellId::from(raw));
-            self.frontier.raise(Entry { primary, secondary, cell: raw });
+        // the total order on keys fixes.
+        while let Some(u) = self.changed_cells.pop() {
+            self.cells[u as usize].flags &= !CHANGED;
+            let key = self.key(u);
+            self.frontier.raise(&mut self.cells, key);
         }
 
-        ordering.cells.push(v);
+        ordering.cells.push(vid);
         ordering.cut_profile.push(u32::try_from(*cut).expect("cut fits u32"));
         ordering.pin_profile.push(*pins);
         ordering.absorbed_profile.push(u32::try_from(*absorbed).expect("absorbed fits u32"));
@@ -556,17 +584,12 @@ impl<'a> OrderingGrower<'a> {
     /// Clears only the state touched by the previous growth.
     fn reset(&mut self) {
         for raw in self.dirty_cells.drain(..) {
-            let i = raw as usize;
-            self.in_group[i] = false;
-            self.weight[i] = 0.0;
-            self.touched_nets[i] = 0;
-            self.absorb[i] = 0;
-            self.cell_dirty[i] = false;
+            self.cells[raw as usize] = FRESH;
         }
         for raw in self.dirty_nets.drain(..) {
             self.net_inside[raw as usize] = 0;
         }
-        self.frontier.clear();
+        self.frontier.keys.clear();
     }
 }
 
@@ -815,27 +838,82 @@ mod tests {
 
     /// Checks the frontier heap between growth steps: it holds exactly
     /// the frontier (cells outside the group on a touched net), each
-    /// entry carries its cell's current key, `pos` points at every entry
-    /// and at nothing else, and the heap property holds.
+    /// entry is its cell's freshly packed key, every `pos` points back at
+    /// its own slot, no changed flag is left set, and the heap property
+    /// holds.
     fn assert_frontier_consistent(g: &OrderingGrower<'_>) {
-        let heap = &g.frontier;
-        for (slot, e) in heap.entries.iter().enumerate() {
-            let cell = CellId::from(e.cell);
-            assert_eq!(heap.pos[cell.index()] as usize, slot, "pos of {cell}");
-            assert!(!g.in_group[cell.index()], "in-group cell {cell} in the heap");
-            let (primary, secondary) = g.keys(cell);
-            assert_eq!(e.primary.to_bits(), primary.to_bits(), "stale primary of {cell}");
-            assert_eq!(e.secondary.to_bits(), secondary.to_bits(), "stale secondary of {cell}");
+        let keys = &g.frontier.keys;
+        for (slot, &key) in keys.iter().enumerate() {
+            let cell = key_cell(key);
+            assert_eq!(g.cells[cell as usize].pos as usize, slot, "pos of c{cell}");
+            assert_eq!(key, g.key(cell), "stale key of c{cell}");
             if slot > 0 {
-                assert!(heap.entries[(slot - 1) / 2] > *e, "heap order at slot {slot}");
+                assert!(keys[(slot - 1) / 2] > key, "heap order at slot {slot}");
             }
         }
-        for c in 0..g.netlist.num_cells() {
-            let frontier = !g.in_group[c] && g.touched_nets[c] > 0;
-            assert_eq!(heap.pos[c] != ABSENT, frontier, "frontier membership of c{c}");
-            assert!(!g.key_changed[c], "key_changed left set on c{c}");
+        for (c, s) in g.cells.iter().enumerate() {
+            let frontier = s.flags & IN_GROUP == 0 && s.touched > 0;
+            assert_eq!(s.pos != ABSENT, frontier, "frontier membership of c{c}");
+            assert_eq!(s.flags & CHANGED, 0, "changed flag left set on c{c}");
         }
         assert!(g.changed_cells.is_empty());
+    }
+
+    /// Connection weights: the signed zeros, subnormals, `f64::MAX`,
+    /// arbitrary bit patterns (negatives, infinities and NaNs among
+    /// them) and sums of `1/(k+1)` terms like the grower's, drawn from a
+    /// small `k` range so that equal sums recur.
+    fn weight() -> impl Strategy<Value = f64> {
+        (0usize..6, 0u64..=u64::MAX, proptest::collection::vec(0usize..4, 0..5)).prop_map(
+            |(kind, bits, ks)| match kind {
+                0 => [0.0, -0.0, f64::MAX, f64::MIN_POSITIVE][(bits % 4) as usize],
+                1 => f64::from_bits(bits % (1 << 52)), // ±0 or a positive subnormal
+                2 => -f64::from_bits(bits % (1 << 52)),
+                3 => f64::from_bits(bits),
+                _ => ks.iter().map(|&k| 1.0 / (k as f64 + 1.0)).sum(),
+            },
+        )
+    }
+
+    /// Cut increases: negative, zero, large positive and anywhere in `i32`.
+    fn delta_cut() -> impl Strategy<Value = i32> {
+        (0usize..4, -40i32..0, 1 << 24..=i32::MAX, i32::MIN..=i32::MAX)
+            .prop_map(|(kind, negative, large, any)| [negative, 0, large, any][kind])
+    }
+
+    /// A (weight, delta_cut, cell) triple.
+    fn frontier_key() -> impl Strategy<Value = (f64, i32, u32)> {
+        (weight(), delta_cut(), 0u32..=u32::MAX)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// Comparing packed keys gives the same `Ordering` as the
+        /// `total_cmp` comparator of the `f64` entries, under both
+        /// criteria. `same` makes the second key equal to the first in
+        /// weight and cut, so ties down to the cell id are covered.
+        #[test]
+        fn packed_keys_order_like_entry_comparator(
+            a in frontier_key(),
+            b in frontier_key(),
+            same in 0usize..3,
+        ) {
+            let b = if same == 0 { (a.0, a.1, b.2) } else { b };
+            for criterion in [GrowthCriterion::WeightFirst, GrowthCriterion::CutFirst] {
+                let entry = |(w, dc, cell): (f64, i32, u32)| {
+                    let d = -(dc as f64);
+                    let (primary, secondary) = match criterion {
+                        GrowthCriterion::WeightFirst => (w, d),
+                        GrowthCriterion::CutFirst => (d, w),
+                    };
+                    Entry { primary, secondary, cell }
+                };
+                let packed = |(w, dc, cell): (f64, i32, u32)| pack_key(criterion, w, dc, cell);
+                prop_assert_eq!(packed(a).cmp(&packed(b)), entry(a).cmp(&entry(b)));
+                prop_assert_eq!(key_cell(packed(a)), a.2);
+            }
+        }
     }
 
     proptest! {
