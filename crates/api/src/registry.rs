@@ -481,9 +481,7 @@ mod tests {
     /// Writes a ring netlist of `n` cells as `<name>.hgr` under a fresh
     /// per-test directory; returns the directory.
     fn netlist_dir(test: &str, rings: &[(&str, usize)]) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("gtl_api_registry-{}-{test}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = gtl_core::testdir::test_dir("gtl_api_registry", test);
         for (name, n) in rings {
             let mut text = format!("{n} {n}\n");
             for i in 0..*n {

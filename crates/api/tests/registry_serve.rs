@@ -40,9 +40,7 @@ fn ring(n: usize) -> Netlist {
 /// Writes each `(name, n)` ring as `<name>.hgr` under a fresh per-test
 /// directory and returns the directory.
 fn netlist_dir(test: &str, rings: &[(&str, usize)]) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("gtl_registry_serve-{}-{test}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = gtl_core::testdir::test_dir("gtl_registry_serve", test);
     for (name, n) in rings {
         let mut text = format!("{n} {n}\n");
         for i in 0..*n {

@@ -199,9 +199,7 @@ mod tests {
 
     #[test]
     fn csv_roundtrip() {
-        let dir = std::env::temp_dir()
-            .join(format!("gtl_report_test-{}-csv_roundtrip", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = gtl_core::testdir::test_dir("gtl_report_test", "csv_roundtrip");
         let path = dir.join("t.csv");
         write_csv(&path, &[("x", &[1.0, 2.0]), ("y", &[3.5, 4.5])]).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
@@ -211,16 +209,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "column length mismatch")]
     fn csv_mismatched_columns_panic() {
-        let dir = std::env::temp_dir()
-            .join(format!("gtl_report_test-{}-csv_mismatched_columns_panic", std::process::id()));
+        let dir = gtl_core::testdir::test_dir("gtl_report_test", "csv_mismatched_columns_panic");
         let _ = write_csv(dir.join("bad.csv"), &[("x", &[1.0]), ("y", &[1.0, 2.0])]);
     }
 
     #[test]
     fn pgm_header_and_size() {
-        let dir = std::env::temp_dir()
-            .join(format!("gtl_report_test-{}-pgm_header_and_size", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = gtl_core::testdir::test_dir("gtl_report_test", "pgm_header_and_size");
         let path = dir.join("t.pgm");
         write_pgm(&path, &[0.0, 0.5, 1.0, 0.25], 2, 2).unwrap();
         let data = std::fs::read(&path).unwrap();

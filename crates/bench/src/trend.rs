@@ -409,10 +409,8 @@ mod tests {
 
     #[test]
     fn run_gate_fails_on_missing_files() {
-        let dir = std::env::temp_dir().join(format!(
-            "gtl_trend_missing-{}-run_gate_fails_on_missing_files",
-            std::process::id()
-        ));
+        let dir =
+            gtl_core::testdir::test_dir("gtl_trend_missing", "run_gate_fails_on_missing_files");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let err = run_gate(&dir, &dir, 0.3).unwrap_err();
@@ -421,8 +419,7 @@ mod tests {
 
     #[test]
     fn run_gate_reads_real_files() {
-        let dir = std::env::temp_dir()
-            .join(format!("gtl_trend_ok-{}-run_gate_reads_real_files", std::process::id()));
+        let dir = gtl_core::testdir::test_dir("gtl_trend_ok", "run_gate_reads_real_files");
         let results = dir.join("results");
         let baselines = dir.join("baselines");
         std::fs::create_dir_all(&results).unwrap();

@@ -729,9 +729,7 @@ mod tests {
     /// id: tests run in parallel, so a shared path would let one test
     /// rewrite a file while another reads it.
     fn test_dir(test: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("gtl_cli_test-{}-{test}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
+        gtl_core::testdir::test_dir("gtl_cli_test", test)
     }
 
     /// Two 5-cliques joined by one edge, as an .hgr in `test`'s directory.

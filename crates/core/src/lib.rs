@@ -14,6 +14,7 @@
 //! histogram + injected-clock span primitives the serve path records
 //! timings with — compute code may carry and subtract instants but never
 //! acquires one (see the module's byte-invisibility contract).
+//! [`testdir`] hands every test its own scratch directory.
 //!
 //! # Determinism contract
 //!
@@ -54,6 +55,7 @@ pub mod exec;
 pub mod obs;
 pub mod shard;
 pub mod sync;
+pub mod testdir;
 
 pub use cancel::{CancelReason, CancelToken, Cancelled, Deadline};
 pub use exec::{

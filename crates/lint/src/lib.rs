@@ -28,6 +28,9 @@
 //!   `crates/api/src/types.rs` matches the committed fingerprint at
 //!   `tests/golden/api_surface.fp`; drift requires an `API_VERSION`
 //!   bump and a `GTL_BLESS=1` re-bless.
+//! * `temp-dir-via-helper` — tests get their scratch directories from
+//!   `gtl_core::testdir::test_dir`, never from a `temp_dir()` path built
+//!   at the call site.
 //!
 //! Exceptions are **inline waivers** with a mandatory reason —
 //! `// gtl-lint: allow(<rule>, reason = "...")` — counted, reported,

@@ -21,6 +21,7 @@ pub const RULES: &[&str] = &[
     "no-panic-on-serve-path",
     "forbid-unsafe-attr",
     "wire-surface-freeze",
+    "temp-dir-via-helper",
 ];
 
 /// RNG constructors that must route through `derive_stream` in compute
@@ -268,6 +269,25 @@ pub fn check_file(rel_path: &Path, zone: Zone, lexed: &Lexed, in_test: &[bool]) 
         }
     }
 
+    // ---- temp-dir-via-helper ------------------------------------------
+    // Test code included: the per-test directory names are what keep
+    // parallel tests from sharing files.
+    if zone != Zone::Vendor && !zones::temp_dir_exempt(rel_path) {
+        for (i, tok) in tokens.iter().enumerate() {
+            let defines = i > 0 && text(i - 1) == "fn";
+            if is_ident(i) && tok.text == "temp_dir" && text(i + 1) == "(" && !defines {
+                violations.push(Violation {
+                    line: tok.line,
+                    rule: "temp-dir-via-helper",
+                    message: "`temp_dir()` outside gtl_core::testdir — a path built at the call \
+                              site can collide with a parallel test's; use \
+                              gtl_core::testdir::test_dir(prefix, test)"
+                        .into(),
+                });
+            }
+        }
+    }
+
     violations.sort_by_key(|v| (v.line, v.rule));
     violations
 }
@@ -391,6 +411,27 @@ mod tests {
         assert!(check("crates/place/src/x.rs", Zone::Compute, good).is_empty());
         // I/O zones own the clock: recording spans there is the design.
         assert!(check("crates/runtime/src/other.rs", Zone::Io, bad).is_empty());
+    }
+
+    #[test]
+    fn temp_dir_calls_are_flagged_in_test_code_but_not_in_the_helper() {
+        let src = "
+            #[cfg(test)]
+            mod tests {
+                fn t() {
+                    let a = std::env::temp_dir().join(\"x\");
+                    let b = temp_dir();
+                    let c = gtl_core::testdir::test_dir(\"p\", \"t\");
+                }
+            }
+        ";
+        let v = check("crates/netlist/src/x.rs", Zone::Compute, src);
+        assert_eq!(v.len(), 2, "{v:?}");
+        assert!(v.iter().all(|v| v.rule == "temp-dir-via-helper"));
+        assert_eq!(check("tests/end_to_end.rs", Zone::Test, src).len(), 2);
+        assert!(check("crates/core/src/testdir.rs", Zone::Compute, src).is_empty());
+        assert!(check("vendor/rand/src/x.rs", Zone::Vendor, src).is_empty());
+        assert!(check("crates/x/src/y.rs", Zone::Io, "fn temp_dir() {}").is_empty());
     }
 
     #[test]

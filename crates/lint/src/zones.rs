@@ -97,6 +97,12 @@ pub fn wallclock_exempt(rel_path: &Path) -> bool {
     rel_path == Path::new("crates/core/src/cancel.rs")
 }
 
+/// The one file allowed to call `temp_dir()` (`temp-dir-via-helper`):
+/// the shared per-test directory helper.
+pub fn temp_dir_exempt(rel_path: &Path) -> bool {
+    rel_path == Path::new("crates/core/src/testdir.rs")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -31,6 +31,7 @@ fn each_rule_fires_on_its_fixture() {
         "no-panic-on-serve-path",
         "forbid-unsafe-attr",
         "wire-surface-freeze",
+        "temp-dir-via-helper",
     ] {
         let report = run_on(fixture_root(rule));
         assert!(!report.clean(), "fixture for `{rule}` should fail");

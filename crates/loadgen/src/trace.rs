@@ -136,9 +136,7 @@ mod tests {
 
     #[test]
     fn file_roundtrip() {
-        let dir = std::env::temp_dir()
-            .join(format!("gtl_loadgen_trace_test-{}-file_roundtrip", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = gtl_core::testdir::test_dir("gtl_loadgen_trace_test", "file_roundtrip");
         let path = dir.join("t.jsonl");
         let records = sample_records();
         write_trace(&path, &records).unwrap();
@@ -147,11 +145,8 @@ mod tests {
 
     #[test]
     fn comments_and_blanks_skipped() {
-        let dir = std::env::temp_dir().join(format!(
-            "gtl_loadgen_trace_test-{}-comments_and_blanks_skipped",
-            std::process::id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir =
+            gtl_core::testdir::test_dir("gtl_loadgen_trace_test", "comments_and_blanks_skipped");
         let path = dir.join("comments.jsonl");
         let body = format!("# recorded by test\n\n{}\n", render_line(&sample_records()[0]));
         std::fs::write(&path, body).unwrap();

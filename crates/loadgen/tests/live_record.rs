@@ -44,11 +44,10 @@ fn stats_line() -> String {
 
 #[test]
 fn proxy_captures_traffic_that_replays_byte_identically() {
-    let dir = std::env::temp_dir().join(format!(
-        "gtl_loadgen_live-{}-proxy_captures_traffic_that_replays_byte_identically",
-        std::process::id()
-    ));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = gtl_core::testdir::test_dir(
+        "gtl_loadgen_live",
+        "proxy_captures_traffic_that_replays_byte_identically",
+    );
     let trace_path = dir.join("captured.jsonl");
 
     // Phase 1: record. A client talks to the real server through the

@@ -59,9 +59,7 @@ fn with_server<R: Send>(max_conns: usize, f: impl FnOnce(&str) -> R + Send) -> R
 }
 
 fn unique_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("gtl_loadgen_live-{}-{name}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+    gtl_core::testdir::test_dir("gtl_loadgen_live", name)
 }
 
 #[test]

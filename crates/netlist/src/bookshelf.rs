@@ -646,8 +646,7 @@ mod tests {
     #[test]
     fn write_and_read_roundtrip() {
         let d = parse_parts(NODES, NETS, Some(PL), Some(SCL)).unwrap();
-        let dir = std::env::temp_dir()
-            .join(format!("gtl_bookshelf_test-{}-write_and_read_roundtrip", std::process::id()));
+        let dir = gtl_core::testdir::test_dir("gtl_bookshelf_test", "write_and_read_roundtrip");
         write_design(&d, &dir, "t").unwrap();
         let again = read_aux(dir.join("t.aux")).unwrap();
         assert_eq!(again.netlist.num_cells(), 3);

@@ -296,9 +296,7 @@ mod tests {
 
     #[test]
     fn file_roundtrip() {
-        let dir = std::env::temp_dir()
-            .join(format!("gtl_hgr_test-{}-file_roundtrip", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = gtl_core::testdir::test_dir("gtl_hgr_test", "file_roundtrip");
         let path = dir.join("t.hgr");
         let nl = parse_str("1 2\n1 2\n").unwrap();
         write(&nl, &path).unwrap();

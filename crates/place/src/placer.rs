@@ -357,7 +357,7 @@ fn solve_pass(
         let jitter = TARGET_JITTER * die.width.max(die.height);
         let (xs_now, ys_now): (&[f64], &[f64]) = (xs, ys);
 
-        let solved: Vec<(Vec<f64>, Vec<f64>)> = parallel_map_chunked_with(
+        let solved: Vec<ShardResult> = parallel_map_chunked_with(
             config.threads,
             shards.len(),
             Granularity::Auto,
@@ -365,7 +365,7 @@ fn solve_pass(
             |(solver, tx, ty), s| {
                 let cells = &shards[s];
                 if cells.is_empty() {
-                    return (Vec::new(), Vec::new());
+                    return ShardResult::default();
                 }
                 // Per-shard RNG stream: decorrelates exactly coincident
                 // targets (the gridded spreader emits many) so each
@@ -378,7 +378,7 @@ fn solve_pass(
                     tx.push(targets.xs()[c as usize] + jitter * rng.gen_range(-0.5..0.5));
                     ty.push(targets.ys()[c as usize] + jitter * rng.gen_range(-0.5..0.5));
                 }
-                solver.solve_shard(
+                let (xs, ys) = solver.solve_shard(
                     lap,
                     cells,
                     alpha,
@@ -388,21 +388,16 @@ fn solve_pass(
                     ys_now,
                     config.tolerance,
                     config.max_cg_iterations,
-                )
+                );
+                ShardResult { xs, ys, boundary: solver.boundary().to_vec() }
             },
         );
 
         // Stitch shard results back in fixed shard-then-cell order.
-        let mut shard_of = vec![0u32; n];
-        for (s, cells) in shards.iter().enumerate() {
-            for &c in cells {
-                shard_of[c as usize] = s as u32;
-            }
-        }
-        for (s, (sx, sy)) in solved.iter().enumerate() {
-            for (k, &c) in shards[s].iter().enumerate() {
-                xs[c as usize] = sx[k];
-                ys[c as usize] = sy[k];
+        for (cells, result) in shards.iter().zip(&solved) {
+            for (k, &c) in cells.iter().enumerate() {
+                xs[c as usize] = result.xs[k];
+                ys[c as usize] = result.ys[k];
             }
         }
 
@@ -411,10 +406,10 @@ fn solve_pass(
         // relax them (ascending cell id, serial, deterministic) against
         // the freshly stitched coordinates. Each update is the exact
         // stationarity condition of the global system at that cell.
-        let boundary: Vec<usize> =
-            (0..n).filter(|&i| lap.row(i).any(|(j, _)| shard_of[j] != shard_of[i])).collect();
+        let boundary = merge_boundaries(solved.iter().map(|r| r.boundary.as_slice()));
         for _ in 0..BOUNDARY_SWEEPS {
             for &i in &boundary {
+                let i = i as usize;
                 let (mut acc_x, mut acc_y) = (0.0, 0.0);
                 for (j, w) in lap.row(i) {
                     acc_x += w * xs[j];
@@ -432,6 +427,23 @@ fn solve_pass(
         xs[i] = cx;
         ys[i] = cy;
     }
+}
+
+/// One shard's solve: the new coordinates of its cells (in shard order)
+/// and its boundary cells ([`ShardSolver::boundary`]).
+#[derive(Default)]
+struct ShardResult {
+    xs: Vec<f64>,
+    ys: Vec<f64>,
+    boundary: Vec<u32>,
+}
+
+/// The ascending-id list of every shard's boundary cells. Shards are
+/// disjoint, so the lists never share a cell.
+fn merge_boundaries<'a>(lists: impl Iterator<Item = &'a [u32]>) -> Vec<u32> {
+    let mut all: Vec<u32> = lists.flatten().copied().collect();
+    all.sort_unstable();
+    all
 }
 
 #[cfg(test)]
@@ -553,6 +565,51 @@ mod tests {
             CancelToken::with_deadline(gtl_core::cancel::Deadline::at(std::time::Instant::now()));
         let err = place_cancellable(&nl, &die, &PlacerConfig::default(), &token).unwrap_err();
         assert_eq!(err.reason, gtl_core::cancel::CancelReason::DeadlineExceeded);
+    }
+
+    #[test]
+    fn merged_boundary_matches_shard_of_filter() {
+        // The stitch's boundary list, merged from the shard extractions,
+        // must equal the serial filter it replaced: every cell with a
+        // Laplacian neighbor in another shard, in ascending id order.
+        let g = gtl_synth::ispd_like::generate(&gtl_synth::ispd_like::IspdLikeConfig::new(
+            gtl_synth::ispd_like::IspdBenchmark::Adaptec1,
+            0.005,
+        ));
+        let nl = &g.netlist;
+        let n = nl.num_cells();
+        let lap = Laplacian::build(nl);
+        let die = Die::for_netlist(nl, 0.6);
+        let mut rng = SmallRng::seed_from_u64(3);
+        let xs: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..die.width)).collect();
+        let ys: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..die.height)).collect();
+        for side in [2, 3, 5] {
+            let shards = ShardGrid::square(side, die.width, die.height).partition(&xs, &ys);
+            let mut solver = ShardSolver::new(n);
+            let lists: Vec<Vec<u32>> = shards
+                .iter()
+                .map(|cells| {
+                    let tx: Vec<f64> = cells.iter().map(|&c| xs[c as usize]).collect();
+                    let ty: Vec<f64> = cells.iter().map(|&c| ys[c as usize]).collect();
+                    solver.solve_shard(&lap, cells, 1.0, &tx, &ty, &xs, &ys, 1e-3, 2);
+                    solver.boundary().to_vec()
+                })
+                .collect();
+            let merged = merge_boundaries(lists.iter().map(Vec::as_slice));
+
+            let mut shard_of = vec![0u32; n];
+            for (s, cells) in shards.iter().enumerate() {
+                for &c in cells {
+                    shard_of[c as usize] = s as u32;
+                }
+            }
+            let expect: Vec<u32> = (0..n)
+                .filter(|&i| lap.row(i).any(|(j, _)| shard_of[j] != shard_of[i]))
+                .map(|i| i as u32)
+                .collect();
+            assert!(!expect.is_empty(), "grid {side}");
+            assert_eq!(merged, expect, "grid {side}");
+        }
     }
 
     #[test]

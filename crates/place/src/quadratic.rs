@@ -22,6 +22,18 @@
 //! [`ShardSolver::solve_shard_into`]) and the CG work vectors live in
 //! reusable scratch ([`SolveScratch`], [`ShardSolver`]), as does the
 //! triplet pass of the CSR build ([`LaplacianScratch`]).
+//!
+//! The shard solve runs **both axes in one CG sweep**. The x and y systems
+//! share the shard matrix, so the work vectors hold one `[x, y]` pair per
+//! cell: each SpMV walks a row's `columns`/`values` once, gathers both
+//! axes of a neighbor in one load and folds `p·Ap` into the row loop, and
+//! one pass does the x/r/z update and the `rz`/`rr` reductions of both
+//! axes. Each axis keeps its own `alpha`, `beta`, residual and
+//! convergence target and stops on its own (converged, `p·Ap <= 0`, or the
+//! iteration cap); a stopped axis is never written again. Per axis the
+//! coordinates are bit-identical to a single-axis CG run once per axis,
+//! which the `two_axis` tests check against that kernel kept verbatim.
+//! [`ShardSolver::solve_shard_into`] returns each axis' iteration count.
 
 use gtl_netlist::Netlist;
 
@@ -388,6 +400,37 @@ impl Laplacian {
     }
 }
 
+/// Computes `out[i] = (A·v)[i]` for both axes of `v` at once, with
+/// `A = diagonal − offdiag` in CSR form, and returns the per-axis dot
+/// products `Σᵢ v[i]·out[i]` (CG's `p·Ap`). Each row's `columns`/`values`
+/// are walked once and update both accumulators, and `v[i]` is one
+/// `[x, y]` gather. Per axis the operations and their order match
+/// [`csr_apply_into`] followed by an index-order dot product.
+fn csr_apply2_dot(
+    offsets: &[usize],
+    columns: &[u32],
+    values: &[f64],
+    diagonal: &[f64],
+    v: &[[f64; 2]],
+    out: &mut [[f64; 2]],
+) -> [f64; 2] {
+    let mut dot = [0.0f64; 2];
+    for i in 0..diagonal.len() {
+        let (start, end) = (offsets[i], offsets[i + 1]);
+        let vi = v[i];
+        let mut acc = [diagonal[i] * vi[0], diagonal[i] * vi[1]];
+        for (&c, &w) in columns[start..end].iter().zip(&values[start..end]) {
+            let vc = v[c as usize];
+            acc[0] -= w * vc[0];
+            acc[1] -= w * vc[1];
+        }
+        out[i] = acc;
+        dot[0] += vi[0] * acc[0];
+        dot[1] += vi[1] * acc[1];
+    }
+    dot
+}
+
 /// Reusable scratch for solving *shard-restricted* anchored systems.
 ///
 /// The sharded placer decomposes the die into a grid of regions and solves
@@ -399,6 +442,13 @@ impl Laplacian {
 /// every shard that worker claims — the local CSR and all CG vectors are
 /// allocated once and recycled, per the execution layer's scratch
 /// contract.
+///
+/// The x and y systems share the shard matrix, so one Jacobi-CG carries
+/// both: every sweep over the local CSR advances both axes, while each
+/// axis keeps its own step sizes, residual and convergence target and
+/// stops on its own (see [`ShardSolver::solve_shard_into`]). The
+/// extraction also records the shard's *boundary* cells — those with a
+/// neighbor outside the shard — for the placer's stitch.
 ///
 /// The result of [`ShardSolver::solve_shard`] is a pure function of its
 /// arguments; nothing about buffer reuse or worker identity leaks into the
@@ -440,15 +490,14 @@ pub struct ShardSolver {
     columns: Vec<u32>,
     values: Vec<f64>,
     diagonal: Vec<f64>,
-    // Fixed-neighbor (Dirichlet) right-hand-side contributions per axis.
-    ext_x: Vec<f64>,
-    ext_y: Vec<f64>,
-    // CG work vectors.
-    rhs: Vec<f64>,
-    r: Vec<f64>,
-    z: Vec<f64>,
-    p: Vec<f64>,
-    ap: Vec<f64>,
+    /// Shard cells with a neighbor outside the shard, in `cells` order.
+    boundary: Vec<u32>,
+    // CG vectors, one `[x, y]` pair per local cell. `r` holds the
+    // right-hand side (anchor plus fixed-neighbor terms) until the first
+    // residual replaces it.
+    r: Vec<[f64; 2]>,
+    p: Vec<[f64; 2]>,
+    ap: Vec<[f64; 2]>,
 }
 
 impl ShardSolver {
@@ -462,11 +511,8 @@ impl ShardSolver {
             columns: Vec::new(),
             values: Vec::new(),
             diagonal: Vec::new(),
-            ext_x: Vec::new(),
-            ext_y: Vec::new(),
-            rhs: Vec::new(),
+            boundary: Vec::new(),
             r: Vec::new(),
-            z: Vec::new(),
             p: Vec::new(),
             ap: Vec::new(),
         }
@@ -522,8 +568,14 @@ impl ShardSolver {
     /// the shard and double as the CG solution vectors — loaded with the
     /// starting guess, iterated in place, left holding the new shard
     /// coordinates in `cells` order. With buffers reused across calls the
-    /// steady state allocates nothing (there is no `to_vec` tail — the
-    /// solve never owns the solution).
+    /// steady state allocates nothing.
+    ///
+    /// Both axes run in one Jacobi-CG over the shard matrix. Each axis
+    /// stops on its own — when its residual meets its target, on a
+    /// non-positive curvature `p·Ap`, or at `max_iterations` — and a
+    /// stopped axis is never updated again, so every coordinate is
+    /// bit-identical to a separate single-axis CG per axis. Returns the
+    /// CG iterations each axis ran, `[x, y]`.
     ///
     /// # Panics
     ///
@@ -543,7 +595,7 @@ impl ShardSolver {
         max_iterations: usize,
         out_x: &mut Vec<f64>,
         out_y: &mut Vec<f64>,
-    ) {
+    ) -> [usize; 2] {
         let m = cells.len();
         assert!(anchor_weight > 0.0, "anchor weight must be positive");
         assert_eq!(targets_x.len(), m, "targets_x must match cells");
@@ -557,18 +609,19 @@ impl ShardSolver {
         }
 
         // Extract the shard-local CSR; edges leaving the shard keep their
-        // weight on the diagonal and push `w · neighbor_position` onto the
-        // per-axis right-hand side.
+        // weight on the diagonal, push `w · neighbor_position` onto the
+        // per-axis right-hand side and make the cell a boundary cell.
         self.offsets.clear();
         self.offsets.push(0);
         self.columns.clear();
         self.values.clear();
         self.diagonal.clear();
-        self.ext_x.clear();
-        self.ext_y.clear();
-        for &c in cells {
+        self.boundary.clear();
+        self.r.clear();
+        for (k, &c) in cells.iter().enumerate() {
             let g = c as usize;
             let (mut ex, mut ey) = (0.0, 0.0);
+            let mut crosses = false;
             for (j, w) in lap.row(g) {
                 if self.mark[j] == self.epoch {
                     self.columns.push(self.local_of[j]);
@@ -576,91 +629,135 @@ impl ShardSolver {
                 } else {
                     ex += w * xs[j];
                     ey += w * ys[j];
+                    crosses = true;
                 }
+            }
+            if crosses {
+                self.boundary.push(c);
             }
             self.offsets.push(self.columns.len());
             self.diagonal.push(lap.degree(g) + anchor_weight);
-            self.ext_x.push(ex);
-            self.ext_y.push(ey);
+            self.r.push([anchor_weight * targets_x[k] + ex, anchor_weight * targets_y[k] + ey]);
         }
 
-        self.rhs.resize(m, 0.0);
-        out_x.resize(m, 0.0);
-        for k in 0..m {
-            self.rhs[k] = anchor_weight * targets_x[k] + self.ext_x[k];
-            out_x[k] = xs[cells[k] as usize];
-        }
-        self.cg(out_x, tolerance, max_iterations);
-        out_y.resize(m, 0.0);
-        for k in 0..m {
-            self.rhs[k] = anchor_weight * targets_y[k] + self.ext_y[k];
-            out_y[k] = ys[cells[k] as usize];
-        }
-        self.cg(out_y, tolerance, max_iterations);
+        // The starting guess: in the outputs, which the CG iterates in
+        // place, and interleaved in `p` for the first product (the CG
+        // overwrites `p` after it).
+        out_x.clear();
+        out_x.extend(cells.iter().map(|&c| xs[c as usize]));
+        out_y.clear();
+        out_y.extend(cells.iter().map(|&c| ys[c as usize]));
+        self.p.clear();
+        self.p.extend(cells.iter().map(|&c| [xs[c as usize], ys[c as usize]]));
+
+        self.cg([out_x, out_y], tolerance, max_iterations)
     }
 
-    /// Jacobi-preconditioned CG on the current local system (`self.rhs`),
-    /// iterating `x` in place from starting guess to solution, mirroring
-    /// [`Laplacian::solve_anchored_into`]'s fused loop structure — except
-    /// that the Jacobi solve stays in its original division form
-    /// (`r / diag.max(1e-12)`), which is not bit-equal to multiplying by
-    /// a precomputed reciprocal.
-    fn cg(&mut self, x: &mut [f64], tolerance: f64, max_iterations: usize) {
+    /// The cells of the most recently solved shard that have a neighbor
+    /// outside it, in the order of that solve's `cells` (so ascending
+    /// when `cells` is). Empty before the first solve.
+    pub(crate) fn boundary(&self) -> &[u32] {
+        &self.boundary
+    }
+
+    /// Two-axis Jacobi-preconditioned CG on the current local system,
+    /// iterating `x` in place from starting guess to solution. On entry
+    /// `self.r` holds the right-hand side and `self.p` the starting guess.
+    /// Returns the iterations each axis ran.
+    ///
+    /// Per axis this is exactly the single-axis shard CG: the same
+    /// per-element operations in the same order, the Jacobi solve in its
+    /// division form (`r / diag.max(1e-12)`, which is not bit-equal to
+    /// multiplying by a precomputed reciprocal), and every reduction a
+    /// sequential index-order sum. The fused reductions start from `0.0`
+    /// where `Iterator::sum` starts from `−0.0`; the two differ only when
+    /// every term is `−0.0`. A sum of squares never is (`(−0.0)² = +0.0`,
+    /// and an empty sum reaches the target's `max(1e-30)` either way), and
+    /// an all-`−0.0` `p·Ap` stops the axis as `pap <= 0` under either
+    /// start.
+    fn cg(&mut self, x: [&mut [f64]; 2], tolerance: f64, max_iterations: usize) -> [usize; 2] {
         let m = self.diagonal.len();
-        self.r.resize(m, 0.0);
-        self.z.resize(m, 0.0);
-        self.p.resize(m, 0.0);
-        self.ap.resize(m, 0.0);
+        let Self { offsets, columns, values, diagonal, r, p, ap, .. } = self;
+        ap.resize(m, [0.0; 2]);
 
-        csr_apply_into(&self.offsets, &self.columns, &self.values, &self.diagonal, x, &mut self.ap);
-        let mut rz = 0.0f64;
-        let mut rr = 0.0f64;
+        csr_apply2_dot(offsets, columns, values, diagonal, p, ap);
+        let mut rz = [0.0f64; 2];
+        let mut rr = [0.0f64; 2];
+        let mut bb = [0.0f64; 2];
         for i in 0..m {
-            let ri = self.rhs[i] - self.ap[i];
-            self.r[i] = ri;
-            let zi = ri / self.diagonal[i].max(1e-12);
-            self.z[i] = zi;
-            self.p[i] = zi;
-            rz += ri * zi;
-            rr += ri * ri;
+            let d = diagonal[i].max(1e-12);
+            for a in 0..2 {
+                let bi = r[i][a];
+                let ri = bi - ap[i][a];
+                r[i][a] = ri;
+                let zi = ri / d;
+                p[i][a] = zi;
+                rz[a] += ri * zi;
+                rr[a] += ri * ri;
+                bb[a] += bi * bi;
+            }
         }
-        let target = tolerance * tolerance * self.rhs.iter().map(|v| v * v).sum::<f64>().max(1e-30);
+        let target = bb.map(|b| tolerance * tolerance * b.max(1e-30));
 
-        for _ in 0..max_iterations {
-            if rr <= target {
+        // `live[a]` until axis `a` stops; `iterations[a]` is then fixed.
+        let mut live = [true; 2];
+        let mut iterations = [max_iterations; 2];
+        for iter in 0..max_iterations {
+            for a in 0..2 {
+                if live[a] && rr[a] <= target[a] {
+                    live[a] = false;
+                    iterations[a] = iter;
+                }
+            }
+            if live == [false; 2] {
                 break;
             }
-            csr_apply_into(
-                &self.offsets,
-                &self.columns,
-                &self.values,
-                &self.diagonal,
-                &self.p,
-                &mut self.ap,
-            );
-            let pap: f64 = self.p.iter().zip(&self.ap).map(|(a, b)| a * b).sum();
-            if pap <= 0.0 {
-                break; // numerical breakdown; current x is best effort
+            let pap = csr_apply2_dot(offsets, columns, values, diagonal, p, ap);
+            for a in 0..2 {
+                if live[a] && pap[a] <= 0.0 {
+                    live[a] = false; // numerical breakdown; current x is best effort
+                    iterations[a] = iter;
+                }
             }
-            let alpha = rz / pap;
-            let mut rz_new = 0.0f64;
-            let mut rr_new = 0.0f64;
-            for (i, xi) in x.iter_mut().enumerate().take(m) {
-                *xi += alpha * self.p[i];
-                let ri = self.r[i] - alpha * self.ap[i];
-                self.r[i] = ri;
-                let zi = ri / self.diagonal[i].max(1e-12);
-                self.z[i] = zi;
-                rz_new += ri * zi;
-                rr_new += ri * ri;
+            if live == [false; 2] {
+                break;
             }
-            let beta = rz_new / rz.max(1e-30);
-            rz = rz_new;
-            rr = rr_new;
+            let alpha = [rz[0] / pap[0], rz[1] / pap[1]];
+            let mut rz_new = [0.0f64; 2];
+            let mut rr_new = [0.0f64; 2];
             for i in 0..m {
-                self.p[i] = self.z[i] + beta * self.p[i];
+                let d = diagonal[i].max(1e-12);
+                for a in 0..2 {
+                    if live[a] {
+                        x[a][i] += alpha[a] * p[i][a];
+                        let ri = r[i][a] - alpha[a] * ap[i][a];
+                        r[i][a] = ri;
+                        let zi = ri / d;
+                        rz_new[a] += ri * zi;
+                        rr_new[a] += ri * ri;
+                    }
+                }
+            }
+            let mut beta = [0.0f64; 2];
+            for a in 0..2 {
+                if live[a] {
+                    beta[a] = rz_new[a] / rz[a].max(1e-30);
+                    rz[a] = rz_new[a];
+                    rr[a] = rr_new[a];
+                }
+            }
+            // The Jacobi `z = r / diag` is recomputed here (the same
+            // division, so the same bits) rather than stored.
+            for i in 0..m {
+                let d = diagonal[i].max(1e-12);
+                for a in 0..2 {
+                    if live[a] {
+                        p[i][a] = r[i][a] / d + beta[a] * p[i][a];
+                    }
+                }
             }
         }
+        iterations
     }
 }
 
@@ -682,7 +779,7 @@ mod tests {
     /// The pre-fusion kernels, kept verbatim as bit-exactness oracles for
     /// the fused loops above.
     mod reference {
-        use super::super::Laplacian;
+        use super::super::{csr_apply_into, Laplacian};
 
         pub fn multiply_into(lap: &Laplacian, x: &[f64], y: &mut [f64]) {
             for i in 0..lap.dim() {
@@ -809,6 +906,178 @@ mod tests {
                 }
             }
             x
+        }
+
+        /// The shard solver before the two-axis kernel: the extraction,
+        /// then the single-axis `cg` once per axis, kept verbatim as the
+        /// bit-exactness oracle of [`super::super::ShardSolver`]. The one
+        /// change is that `cg` returns the iterations it ran, so the
+        /// per-axis counts can be compared too.
+        pub struct ShardSolver {
+            mark: Vec<u32>,
+            local_of: Vec<u32>,
+            epoch: u32,
+            offsets: Vec<usize>,
+            columns: Vec<u32>,
+            values: Vec<f64>,
+            diagonal: Vec<f64>,
+            ext_x: Vec<f64>,
+            ext_y: Vec<f64>,
+            rhs: Vec<f64>,
+            r: Vec<f64>,
+            z: Vec<f64>,
+            p: Vec<f64>,
+            ap: Vec<f64>,
+        }
+
+        impl ShardSolver {
+            pub fn new(num_cells: usize) -> Self {
+                Self {
+                    mark: vec![0; num_cells],
+                    local_of: vec![0; num_cells],
+                    epoch: 0,
+                    offsets: Vec::new(),
+                    columns: Vec::new(),
+                    values: Vec::new(),
+                    diagonal: Vec::new(),
+                    ext_x: Vec::new(),
+                    ext_y: Vec::new(),
+                    rhs: Vec::new(),
+                    r: Vec::new(),
+                    z: Vec::new(),
+                    p: Vec::new(),
+                    ap: Vec::new(),
+                }
+            }
+
+            #[allow(clippy::too_many_arguments)]
+            pub fn solve_shard_into(
+                &mut self,
+                lap: &Laplacian,
+                cells: &[u32],
+                anchor_weight: f64,
+                targets_x: &[f64],
+                targets_y: &[f64],
+                xs: &[f64],
+                ys: &[f64],
+                tolerance: f64,
+                max_iterations: usize,
+                out_x: &mut Vec<f64>,
+                out_y: &mut Vec<f64>,
+            ) -> [usize; 2] {
+                let m = cells.len();
+                self.epoch += 1;
+                for (k, &c) in cells.iter().enumerate() {
+                    self.mark[c as usize] = self.epoch;
+                    self.local_of[c as usize] = k as u32;
+                }
+                self.offsets.clear();
+                self.offsets.push(0);
+                self.columns.clear();
+                self.values.clear();
+                self.diagonal.clear();
+                self.ext_x.clear();
+                self.ext_y.clear();
+                for &c in cells {
+                    let g = c as usize;
+                    let (mut ex, mut ey) = (0.0, 0.0);
+                    for (j, w) in lap.row(g) {
+                        if self.mark[j] == self.epoch {
+                            self.columns.push(self.local_of[j]);
+                            self.values.push(w);
+                        } else {
+                            ex += w * xs[j];
+                            ey += w * ys[j];
+                        }
+                    }
+                    self.offsets.push(self.columns.len());
+                    self.diagonal.push(lap.degree(g) + anchor_weight);
+                    self.ext_x.push(ex);
+                    self.ext_y.push(ey);
+                }
+
+                self.rhs.resize(m, 0.0);
+                out_x.resize(m, 0.0);
+                for k in 0..m {
+                    self.rhs[k] = anchor_weight * targets_x[k] + self.ext_x[k];
+                    out_x[k] = xs[cells[k] as usize];
+                }
+                let iters_x = self.cg(out_x, tolerance, max_iterations);
+                out_y.resize(m, 0.0);
+                for k in 0..m {
+                    self.rhs[k] = anchor_weight * targets_y[k] + self.ext_y[k];
+                    out_y[k] = ys[cells[k] as usize];
+                }
+                let iters_y = self.cg(out_y, tolerance, max_iterations);
+                [iters_x, iters_y]
+            }
+
+            fn cg(&mut self, x: &mut [f64], tolerance: f64, max_iterations: usize) -> usize {
+                let m = self.diagonal.len();
+                self.r.resize(m, 0.0);
+                self.z.resize(m, 0.0);
+                self.p.resize(m, 0.0);
+                self.ap.resize(m, 0.0);
+
+                csr_apply_into(
+                    &self.offsets,
+                    &self.columns,
+                    &self.values,
+                    &self.diagonal,
+                    x,
+                    &mut self.ap,
+                );
+                let mut rz = 0.0f64;
+                let mut rr = 0.0f64;
+                for i in 0..m {
+                    let ri = self.rhs[i] - self.ap[i];
+                    self.r[i] = ri;
+                    let zi = ri / self.diagonal[i].max(1e-12);
+                    self.z[i] = zi;
+                    self.p[i] = zi;
+                    rz += ri * zi;
+                    rr += ri * ri;
+                }
+                let target =
+                    tolerance * tolerance * self.rhs.iter().map(|v| v * v).sum::<f64>().max(1e-30);
+
+                for iter in 0..max_iterations {
+                    if rr <= target {
+                        return iter;
+                    }
+                    csr_apply_into(
+                        &self.offsets,
+                        &self.columns,
+                        &self.values,
+                        &self.diagonal,
+                        &self.p,
+                        &mut self.ap,
+                    );
+                    let pap: f64 = self.p.iter().zip(&self.ap).map(|(a, b)| a * b).sum();
+                    if pap <= 0.0 {
+                        return iter; // numerical breakdown; current x is best effort
+                    }
+                    let alpha = rz / pap;
+                    let mut rz_new = 0.0f64;
+                    let mut rr_new = 0.0f64;
+                    for (i, xi) in x.iter_mut().enumerate().take(m) {
+                        *xi += alpha * self.p[i];
+                        let ri = self.r[i] - alpha * self.ap[i];
+                        self.r[i] = ri;
+                        let zi = ri / self.diagonal[i].max(1e-12);
+                        self.z[i] = zi;
+                        rz_new += ri * zi;
+                        rr_new += ri * ri;
+                    }
+                    let beta = rz_new / rz.max(1e-30);
+                    rz = rz_new;
+                    rr = rr_new;
+                    for i in 0..m {
+                        self.p[i] = self.z[i] + beta * self.p[i];
+                    }
+                }
+                max_iterations
+            }
         }
     }
 
@@ -986,6 +1255,162 @@ mod tests {
         // …must be fully overwritten by the next solve.
         solver.solve_shard_into(&lap, &a, 1.0, &ta, &ta, &xs, &ys, 1e-10, 200, &mut ox, &mut oy);
         assert_eq!(expect, (ox, oy));
+    }
+
+    /// A random `n`-cell netlist drawn from `seed`: `2n` nets of 2–4 pins
+    /// plus star nets of 9–20 pins (above [`CLIQUE_LIMIT`]).
+    fn random_netlist(n: usize, seed: u64) -> Netlist {
+        let mut b = NetlistBuilder::new();
+        b.add_anonymous_cells(n);
+        let mut k = 0u64;
+        let mut draw = |bound: usize| {
+            k += 1;
+            (gtl_core::derive_stream(seed, k) % bound as u64) as usize
+        };
+        for net in 0..2 * n + n / 16 + 1 {
+            let pins = if net < 2 * n { 2 + draw(3) } else { CLIQUE_LIMIT + 1 + draw(12) };
+            let pins: Vec<_> = (0..pins).map(|_| gtl_netlist::CellId::new(draw(n))).collect();
+            b.add_anonymous_net(pins);
+        }
+        b.finish()
+    }
+
+    /// Inputs of a two-axis oracle case on an `n`-cell random design. The
+    /// axes get different starting points and targets, so they converge
+    /// at different iterations; `ty_converged` are y targets for which
+    /// the y system starts converged (`rhs = A·y0`, up to rounding).
+    struct TwoAxisFixture {
+        lap: Laplacian,
+        xs: Vec<f64>,
+        ys: Vec<f64>,
+        tx: Vec<f64>,
+        ty: Vec<f64>,
+        ty_converged: Vec<f64>,
+    }
+
+    fn two_axis_fixture(n: usize, seed: u64, anchor_weight: f64) -> TwoAxisFixture {
+        let lap = Laplacian::build(&random_netlist(n, seed));
+        let xs = noise(n, seed ^ 1);
+        let ys: Vec<f64> = noise(n, seed ^ 2).iter().map(|v| 3.0 * v + 40.0).collect();
+        let tx = noise(n, seed ^ 3);
+        let ty = noise(n, seed ^ 4).iter().map(|v| 0.5 * v - 20.0).collect();
+        // aw·t + Σ_out w·y_j = (L + aw)·y0 on the shard rows ⇔ t = y + (L·y)/aw.
+        let ly = lap.multiply(&ys);
+        let ty_converged = ys.iter().zip(&ly).map(|(y, l)| y + l / anchor_weight).collect();
+        TwoAxisFixture { lap, xs, ys, tx, ty, ty_converged }
+    }
+
+    /// Solves `cells` with `solver` and with the single-axis oracle and
+    /// asserts equal bits on both axes, equal per-axis iteration counts,
+    /// and the boundary cells of the extraction. Returns the counts.
+    fn assert_two_axis_matches(
+        solver: &mut ShardSolver,
+        f: &TwoAxisFixture,
+        cells: &[u32],
+        anchor_weight: f64,
+        converged_y: bool,
+        (tolerance, max_iterations): (f64, usize),
+    ) -> [usize; 2] {
+        let gather = |v: &[f64]| cells.iter().map(|&c| v[c as usize]).collect::<Vec<_>>();
+        let tx = gather(&f.tx);
+        let ty = gather(if converged_y { &f.ty_converged } else { &f.ty });
+        let (mut ex, mut ey) = (Vec::new(), Vec::new());
+        let expect = reference::ShardSolver::new(f.lap.dim()).solve_shard_into(
+            &f.lap,
+            cells,
+            anchor_weight,
+            &tx,
+            &ty,
+            &f.xs,
+            &f.ys,
+            tolerance,
+            max_iterations,
+            &mut ex,
+            &mut ey,
+        );
+        // Dirty, wrongly sized output buffers must be fully overwritten.
+        let (mut gx, mut gy) = (vec![f64::NAN; 3], Vec::new());
+        let got = solver.solve_shard_into(
+            &f.lap,
+            cells,
+            anchor_weight,
+            &tx,
+            &ty,
+            &f.xs,
+            &f.ys,
+            tolerance,
+            max_iterations,
+            &mut gx,
+            &mut gy,
+        );
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        let case = format!("m={} tol={tolerance} iters={max_iterations}", cells.len());
+        assert_eq!(bits(&gx), bits(&ex), "x axis, {case}");
+        assert_eq!(bits(&gy), bits(&ey), "y axis, {case}");
+        assert_eq!(got, expect, "per-axis iterations, {case}");
+        let crosses =
+            |c: u32| f.lap.row(c as usize).any(|(j, _)| cells.binary_search(&(j as u32)).is_err());
+        let boundary: Vec<u32> = cells.iter().copied().filter(|&c| crosses(c)).collect();
+        assert_eq!(solver.boundary(), boundary.as_slice(), "boundary, {case}");
+        got
+    }
+
+    /// Tolerance and iteration-cap corners of the oracle comparison.
+    const TWO_AXIS_LIMITS: [(f64, usize); 5] =
+        [(1e-10, 300), (1e-10, 5), (1e-10, 1), (0.3, 300), (1e-6, 300)];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// Random netlists with star nets; random cell subsets as shards,
+        /// so out-of-shard Dirichlet terms are present, plus an empty
+        /// shard; one solver reused across all of them; y either free or
+        /// converged on entry; every limit in [`TWO_AXIS_LIMITS`].
+        #[test]
+        fn two_axis_matches_single_axis_oracle(
+            seed in 0u64..1 << 48,
+            n in 1usize..120,
+            parts in 1usize..5,
+            aw in 0usize..3,
+        ) {
+            let anchor_weight = [0.02, 0.75, 30.0][aw];
+            let f = two_axis_fixture(n, seed, anchor_weight);
+            let mut shards = vec![Vec::new(); parts + 1];
+            for c in 0..n as u32 {
+                shards[(gtl_core::derive_stream(seed ^ 5, u64::from(c)) % parts as u64) as usize]
+                    .push(c);
+            }
+            let mut solver = ShardSolver::new(n);
+            for cells in &shards {
+                for converged_y in [false, true] {
+                    for limits in TWO_AXIS_LIMITS {
+                        assert_two_axis_matches(
+                            &mut solver,
+                            &f,
+                            cells,
+                            anchor_weight,
+                            converged_y,
+                            limits,
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn two_axis_axes_stop_independently() {
+        // The cases the oracle comparison relies on do occur: the axes
+        // converge at different iterations, and an axis that starts
+        // converged runs none while the other keeps going.
+        let f = two_axis_fixture(100, 7, 0.75);
+        let mut solver = ShardSolver::new(100);
+        let half: Vec<u32> = (0..100).filter(|c| c % 3 != 0).collect();
+        let free = assert_two_axis_matches(&mut solver, &f, &half, 0.75, false, (1e-10, 300));
+        assert!(free[0] != free[1] && free.iter().all(|&i| i > 0 && i < 300), "{free:?}");
+        let conv = assert_two_axis_matches(&mut solver, &f, &half, 0.75, true, (1e-10, 300));
+        assert_eq!(conv, [free[0], 0]);
+        assert!(!solver.boundary().is_empty());
     }
 
     #[test]

@@ -309,9 +309,7 @@ mod tests {
 
     #[test]
     fn file_writer_roundtrips() {
-        let dir = std::env::temp_dir()
-            .join(format!("gtl_synth_stream_test-{}-file_writer_roundtrips", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = gtl_core::testdir::test_dir("gtl_synth_stream_test", "file_writer_roundtrips");
         let path = dir.join("streamed.hgr");
         let stats = write_hgr_file(&StreamDesignConfig::new(800), &path).unwrap();
         let nl = hgr::read(&path).unwrap();

@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     };
 
     // Write <tmp>/adaptec2_like.aux + .nodes + .nets + .scl, then read back.
-    let dir = std::env::temp_dir().join(format!("gtl_bookshelf_flow-{}", std::process::id()));
+    let dir = tangled_logic::core::testdir::test_dir("gtl_bookshelf_flow", "example");
     bookshelf::write_design(&design, &dir, "adaptec2_like")?;
     println!("wrote Bookshelf design to {}", dir.display());
     let loaded = bookshelf::read_aux(dir.join("adaptec2_like.aux"))?;

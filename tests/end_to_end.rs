@@ -91,10 +91,10 @@ fn bookshelf_roundtrip_preserves_connectivity() {
         rows: Vec::new(),
         netlist: g.netlist.clone(),
     };
-    let dir = std::env::temp_dir().join(format!(
-        "gtl_e2e_bookshelf-{}-bookshelf_roundtrip_preserves_connectivity",
-        std::process::id()
-    ));
+    let dir = tangled_logic::core::testdir::test_dir(
+        "gtl_e2e_bookshelf",
+        "bookshelf_roundtrip_preserves_connectivity",
+    );
     bookshelf::write_design(&design, &dir, "e2e").expect("write");
     let loaded = bookshelf::read_aux(dir.join("e2e.aux")).expect("read");
     assert_eq!(loaded.netlist.num_cells(), g.netlist.num_cells());

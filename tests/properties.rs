@@ -181,7 +181,7 @@ proptest! {
                 b.finish()
             },
         };
-        let dir = std::env::temp_dir().join(format!("gtl_prop_bookshelf-{}-{case}", std::process::id()));
+        let dir = tangled_logic::core::testdir::test_dir("gtl_prop_bookshelf", &case.to_string());
         bookshelf::write_design(&design, &dir, "prop").unwrap();
         let loaded = bookshelf::read_aux(dir.join("prop.aux")).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
