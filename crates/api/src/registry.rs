@@ -361,15 +361,7 @@ impl<'s> SessionDispatcher<'s> {
             | Request::Stats(_)
             | Request::Metrics(_)
             | Request::MetricsText(_) => {
-                let v = match request {
-                    Request::Find(req) => req.v,
-                    Request::Place(req) => req.v,
-                    Request::Stats(req) => req.v,
-                    Request::Metrics(req) => req.v,
-                    Request::MetricsText(req) => req.v,
-                    // gtl-lint: allow(no-panic-on-serve-path, reason = "outer match arm admits exactly these five variants")
-                    _ => unreachable!("admin variants handled above"),
-                };
+                let v = request.v();
                 match request.session() {
                     Some(name)
                         if (SESSION_SINCE_VERSION..=API_VERSION).contains(&v)
@@ -413,18 +405,8 @@ impl<'s> SessionDispatcher<'s> {
         let Ok(request) = serde::json::from_str::<Request>(line) else {
             return Cow::Borrowed(line.as_bytes());
         };
-        let v = match &request {
-            Request::Find(req) => req.v,
-            Request::Place(req) => req.v,
-            Request::Stats(req) => req.v,
-            Request::Metrics(_)
-            | Request::MetricsText(_)
-            | Request::LoadNetlist(_)
-            | Request::UnloadNetlist(_)
-            | Request::ListSessions(_) => return Cow::Borrowed(line.as_bytes()),
-        };
         match request.session() {
-            Some(name) if (SESSION_SINCE_VERSION..=API_VERSION).contains(&v) => {
+            Some(name) if (SESSION_SINCE_VERSION..=API_VERSION).contains(&request.v()) => {
                 let generation = if name == DEFAULT_SESSION {
                     Some(0)
                 } else {

@@ -331,7 +331,7 @@ pub fn serve_with_metrics(
         crate::prom::render_prometheus(&dispatcher.runtime_metrics(snapshot.clone()))
     };
     let exporter = metrics_listener.map(|listener| MetricsExporter { listener, render: &render });
-    let report = gtl_runtime::serve_lines_with_metrics(listener, &config, &handler, exporter)
+    let report = gtl_runtime::serve_lines(listener, &config, &handler, exporter)
         .map_err(|e| ApiError::io(e.to_string()))?;
     Ok(ServeSummary {
         connections: report.connections,

@@ -234,7 +234,7 @@ impl Session {
     /// sizes are capped before any allocation happens — a hostile request
     /// must not be able to abort the server).
     pub fn find(&self, request: &FindRequest) -> Result<FindResponse, ApiError> {
-        self.find_cancellable(request, &CancelToken::new(), Instant::now())
+        self.find_under(request, &CancelToken::new(), Instant::now())
     }
 
     /// [`Session::find`] under a caller-supplied cancellation `base`
@@ -248,7 +248,7 @@ impl Session {
     ///
     /// Everything [`Session::find`] reports, plus
     /// [`ApiError::DeadlineExceeded`] / [`ApiError::Cancelled`].
-    pub fn find_cancellable(
+    fn find_under(
         &self,
         request: &FindRequest,
         base: &CancelToken,
@@ -278,20 +278,11 @@ impl Session {
         }
         check_threads(config.threads, "config.threads")?;
         let finder = TangledLogicFinder::new(&self.netlist, config);
-        // Reuse the session scratch when it is free; under contention run
-        // with a fresh local one instead of serializing concurrent finds
-        // behind the mutex (the scratch is a pure allocation cache — the
-        // result is identical either way).
-        let result = match self.scratch.try_lock() {
-            Ok(mut scratch) => finder.run_with_scratch_cancellable(&mut scratch, &token),
-            Err(std::sync::TryLockError::Poisoned(poisoned)) => {
-                finder.run_with_scratch_cancellable(&mut poisoned.into_inner(), &token)
-            }
-            Err(std::sync::TryLockError::WouldBlock) => finder.run_with_scratch_cancellable(
-                &mut PruneScratch::new(self.netlist.num_cells()),
-                &token,
-            ),
-        }?;
+        let result = with_scratch(
+            &self.scratch,
+            || PruneScratch::new(self.netlist.num_cells()),
+            |scratch| finder.run_with(scratch, Some(&token)),
+        )?;
         Ok(FindResponse { v: request.v, netlist: self.summary.clone(), result, trace: None })
     }
 
@@ -301,11 +292,11 @@ impl Session {
     ///
     /// Version and argument validation errors.
     pub fn place(&self, request: &PlaceRequest) -> Result<PlaceResponse, ApiError> {
-        self.place_cancellable(request, &CancelToken::new(), Instant::now())
+        self.place_under(request, &CancelToken::new(), Instant::now())
     }
 
     /// [`Session::place`] under a caller-supplied cancellation `base`
-    /// token and deadline anchor (see [`Session::find_cancellable`]);
+    /// token and deadline anchor (see [`Session::find_under`]);
     /// the placer checkpoints between solve/spread iterations and the
     /// congestion estimator between tile stripes.
     ///
@@ -313,7 +304,7 @@ impl Session {
     ///
     /// Everything [`Session::place`] reports, plus
     /// [`ApiError::DeadlineExceeded`] / [`ApiError::Cancelled`].
-    pub fn place_cancellable(
+    fn place_under(
         &self,
         request: &PlaceRequest,
         base: &CancelToken,
@@ -360,34 +351,10 @@ impl Session {
         check_threads(request.placer.threads, "placer.threads")?;
         check_threads(request.routing.threads, "routing.threads")?;
         let die = gtl_place::Die::for_netlist(&self.netlist, request.utilization);
-        // Reuse the session's Laplacian-build scratch when it is free;
-        // under contention fall back to a fresh one rather than queueing
-        // (the scratch is a pure allocation cache — results are identical).
-        let placement = match self.place_scratch.try_lock() {
-            Ok(mut scratch) => gtl_place::place_cancellable_with_scratch(
-                &self.netlist,
-                &die,
-                &request.placer,
-                &token,
-                &mut scratch,
-            ),
-            Err(std::sync::TryLockError::Poisoned(poisoned)) => {
-                gtl_place::place_cancellable_with_scratch(
-                    &self.netlist,
-                    &die,
-                    &request.placer,
-                    &token,
-                    &mut poisoned.into_inner(),
-                )
-            }
-            Err(std::sync::TryLockError::WouldBlock) => gtl_place::place_cancellable_with_scratch(
-                &self.netlist,
-                &die,
-                &request.placer,
-                &token,
-                &mut gtl_place::PlaceScratch::new(),
-            ),
-        }?;
+        let placement =
+            with_scratch(&self.place_scratch, gtl_place::PlaceScratch::new, |scratch| {
+                gtl_place::place_with(&self.netlist, &die, &request.placer, Some(&token), scratch)
+            })?;
         let hpwl = gtl_place::hpwl(&self.netlist, &placement);
         let map = congestion::estimate_cancellable(
             &self.netlist,
@@ -488,19 +455,9 @@ impl Session {
         base: &CancelToken,
         anchor: Instant,
     ) -> Response {
-        let requested_v = match request {
-            Request::Find(req) => req.v,
-            Request::Place(req) => req.v,
-            Request::Stats(req) => req.v,
-            Request::Metrics(req) => req.v,
-            Request::MetricsText(req) => req.v,
-            Request::LoadNetlist(req) => req.v,
-            Request::UnloadNetlist(req) => req.v,
-            Request::ListSessions(req) => req.v,
-        };
         let outcome = match request {
-            Request::Find(req) => self.find_cancellable(req, base, anchor).map(Response::Find),
-            Request::Place(req) => self.place_cancellable(req, base, anchor).map(Response::Place),
+            Request::Find(req) => self.find_under(req, base, anchor).map(Response::Find),
+            Request::Place(req) => self.place_under(req, base, anchor).map(Response::Place),
             Request::Stats(req) => self.stats(req).map(Response::Stats),
             Request::Metrics(_) | Request::MetricsText(_) => Err(ApiError::invalid_argument(
                 "Metrics is served by the `gtl serve` runtime (no runtime is attached to an \
@@ -521,7 +478,7 @@ impl Session {
             // so those errors (and parse failures, where no version is
             // known) stamp the build's own API_VERSION.
             if !matches!(err, ApiError::UnsupportedVersion { .. }) {
-                body.v = requested_v;
+                body.v = request.v();
             }
             Response::Error(body)
         })
@@ -537,33 +494,28 @@ impl Session {
     /// machine — requests fan out through `gtl_core::exec` and the JSON
     /// renderer is deterministic.
     pub fn handle_line(&self, line: &str) -> String {
-        let mut out = String::new();
-        self.handle_line_into(line, &mut out);
-        out
+        let response = match serde::json::from_str::<Request>(line) {
+            Ok(request) => self.handle(&request),
+            Err(e) => Response::Error(ErrorBody::from(&ApiError::bad_request(e.to_string()))),
+        };
+        serde::json::to_string(&response)
     }
+}
 
-    /// [`handle_line`](Self::handle_line) into a caller-owned buffer:
-    /// appends the response document onto `out` (cleared first), reusing
-    /// its allocation. The serve runtime calls this with a recycled
-    /// per-connection buffer so steady-state request handling allocates
-    /// no fresh response `String`; the bytes are identical to
-    /// [`handle_line`](Self::handle_line).
-    pub fn handle_line_into(&self, line: &str, out: &mut String) {
-        out.clear();
-        match serde::json::from_str::<Request>(line) {
-            Ok(request) => self.handle_into(&request, out),
-            Err(e) => serde::json::to_string_into(
-                &Response::Error(ErrorBody::from(&ApiError::bad_request(e.to_string()))),
-                out,
-            ),
-        }
-    }
-
-    /// Dispatches an envelope and appends the serialized response onto
-    /// `out` (same contract as [`handle`](Self::handle), without the
-    /// intermediate `String`).
-    pub fn handle_into(&self, request: &Request, out: &mut String) {
-        serde::json::to_string_into(&self.handle(request), out);
+/// Runs `f` on a session's cached scratch when it is free; under
+/// contention runs it on `fresh()` instead of serializing concurrent
+/// requests behind the mutex. The scratch is a pure allocation cache
+/// whose contents on entry every run ignores, so the result is identical
+/// either way — which is also why a poisoned lock is simply recovered.
+fn with_scratch<S, R>(
+    cache: &Mutex<S>,
+    fresh: impl FnOnce() -> S,
+    f: impl FnOnce(&mut S) -> R,
+) -> R {
+    match cache.try_lock() {
+        Ok(mut scratch) => f(&mut scratch),
+        Err(std::sync::TryLockError::Poisoned(poisoned)) => f(&mut poisoned.into_inner()),
+        Err(std::sync::TryLockError::WouldBlock) => f(&mut fresh()),
     }
 }
 
@@ -761,11 +713,36 @@ mod tests {
     }
 
     #[test]
+    fn busy_or_poisoned_scratch_leaves_responses_identical() {
+        let s = session();
+        let find = serde::json::to_string(&Request::Find(find_request()));
+        let place = serde::json::to_string(&Request::Place(PlaceRequest::new()));
+        let expected = [s.handle_line(&find), s.handle_line(&place)];
+        // Held locks: both requests run on fresh scratch.
+        {
+            let _finder = s.scratch.lock().unwrap();
+            let _placer = s.place_scratch.lock().unwrap();
+            assert_eq!([s.handle_line(&find), s.handle_line(&place)], expected);
+        }
+        // Poisoned locks: both requests recover the cached scratch.
+        std::thread::scope(|scope| {
+            let poison = scope.spawn(|| {
+                let _finder = s.scratch.lock().unwrap();
+                let _placer = s.place_scratch.lock().unwrap();
+                panic!("poison the scratch locks");
+            });
+            assert!(poison.join().is_err());
+        });
+        assert!(s.scratch.is_poisoned() && s.place_scratch.is_poisoned());
+        assert_eq!([s.handle_line(&find), s.handle_line(&place)], expected);
+    }
+
+    #[test]
     fn cancelled_base_token_reaches_the_dispatch() {
         let s = session();
         let base = CancelToken::new();
         base.cancel();
-        let err = s.find_cancellable(&find_request(), &base, Instant::now()).unwrap_err();
+        let err = s.find_under(&find_request(), &base, Instant::now()).unwrap_err();
         assert_eq!(err.code(), "cancelled");
         // Through the envelope path the outcome is an error *response*
         // echoing the request's version.

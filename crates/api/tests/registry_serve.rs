@@ -282,10 +282,12 @@ fn flooding_tenant_cannot_perturb_a_trickler() {
             .netlist_dir(Some(dir.clone()))
     };
 
-    // Solo run: the trickler alone, after loading its session.
+    // Solo run: the trickler alone, after loading its session. Serial
+    // (pipeline depth 1), so no Find can start on the second lane before
+    // the load has answered; response bytes do not depend on the depth.
     let mut solo_script = vec![load_line("light", "light.hgr")];
     solo_script.extend(trickle.iter().cloned());
-    let solo = play_script(&session, options(), &solo_script)[1..].to_vec();
+    let solo = play_script(&session, options().pipeline_depth(1), &solo_script)[1..].to_vec();
     assert_eq!(solo.len(), trickle.len());
     assert!(solo.iter().all(|l| l.starts_with("{\"Find\":")), "{solo:?}");
 

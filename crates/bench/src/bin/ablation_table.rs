@@ -51,22 +51,27 @@ fn main() {
             }
         }
     }
-    let rows = gtl_core::parallel_map(args.threads, variants.len(), |i| {
-        let (criterion, refine, metric) = variants[i];
-        let config = FinderConfig { criterion, refine, metric, threads: 1, ..base };
-        let result = TangledLogicFinder::new(&graph.netlist, config).run();
-        let found: Vec<Vec<_>> = result.gtls.iter().map(|g| g.cells.clone()).collect();
-        let report = match_gtls(&graph.truth, &found, graph.netlist.num_cells());
-        [
-            format!("{criterion:?}"),
-            if refine { "on" } else { "off" }.to_string(),
-            metric.to_string(),
-            format!("{}", result.gtls.len()),
-            format!("{}/{}", report.matches.len(), graph.truth.len()),
-            format!("{:.2}%", report.max_miss_pct()),
-            format!("{:.2}%", report.max_over_pct()),
-        ]
-    });
+    let rows = gtl_core::parallel_map_with(
+        args.threads,
+        variants.len(),
+        |_| (),
+        |(), i| {
+            let (criterion, refine, metric) = variants[i];
+            let config = FinderConfig { criterion, refine, metric, threads: 1, ..base };
+            let result = TangledLogicFinder::new(&graph.netlist, config).run();
+            let found: Vec<Vec<_>> = result.gtls.iter().map(|g| g.cells.clone()).collect();
+            let report = match_gtls(&graph.truth, &found, graph.netlist.num_cells());
+            [
+                format!("{criterion:?}"),
+                if refine { "on" } else { "off" }.to_string(),
+                metric.to_string(),
+                format!("{}", result.gtls.len()),
+                format!("{}/{}", report.matches.len(), graph.truth.len()),
+                format!("{:.2}%", report.max_miss_pct()),
+                format!("{:.2}%", report.max_over_pct()),
+            ]
+        },
+    );
     for row in &rows {
         table.row(row);
     }

@@ -6,13 +6,11 @@
 //! boundaries via [`CancelToken::checkpoint`] — nothing is ever
 //! interrupted preemptively, so a worker always finishes the item it is
 //! on and scratch state never ends up half-written. The execution layer
-//! polls between items in [`exec::parallel_map_cancellable`] and
-//! [`exec::parallel_map_with_cancellable`], and the finder / placer /
-//! congestion hot loops poll between iterations, so a cancelled request
-//! returns within one checkpoint interval (one seed search, one placer
-//! iteration, one congestion pass).
+//! polls between claims in [`exec::parallel_map_with_cancellable`], and
+//! the finder / placer / congestion hot loops poll between iterations,
+//! so a cancelled request returns within one checkpoint interval (one
+//! seed search, one placer iteration, one congestion pass).
 //!
-//! [`exec::parallel_map_cancellable`]: crate::exec::parallel_map_cancellable
 //! [`exec::parallel_map_with_cancellable`]: crate::exec::parallel_map_with_cancellable
 //!
 //! Tokens form a tree: [`CancelToken::child_with_deadline`] derives a

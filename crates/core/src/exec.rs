@@ -8,15 +8,21 @@
 //! can differ in cost by orders of magnitude) never idles a thread, and
 //! scheduling never leaks into the results.
 //!
+//! There is one scheduler and two entry points:
+//! [`parallel_map_with_cancellable`] takes an optional [`CancelToken`],
+//! and [`parallel_map_with`] is the same map without one.
+//!
 //! # Scheduling granularity
 //!
-//! Every map claims the index space in contiguous chunks. The classic
-//! entry points ([`parallel_map`], [`parallel_map_with`], …) claim one
-//! item at a time ([`Granularity::Items`]`(1)` — maximum load-balancing
-//! slack); the `*_chunked` variants take an explicit [`Granularity`] so
-//! large maps can amortize claim traffic, per-chunk cancellation polling
-//! and per-worker cache churn over many items. Two invariants make chunk
-//! size a pure tuning knob:
+//! Every map claims the index space in contiguous chunks of
+//! `max(1, len / 128)` items — ~128 claims per map. Small maps (the
+//! finder's per-seed searches, tile stripes, spreader subtrees) keep
+//! per-item claims and maximum load-balancing slack, while maps with
+//! thousands of cheap items amortize the atomic claim, the per-chunk
+//! cancellation poll and per-worker cache churn. The `GTL_EXEC_CHUNK`
+//! environment variable forces a fixed chunk size instead, so CI can
+//! re-run the identity suites at a non-default grain. Two invariants
+//! make chunk size invisible in the output:
 //!
 //! * chunk boundaries are a pure function of `(len, chunk_size)` — chunk
 //!   `k` always covers `[k·c, min(len, (k+1)·c))` — never of the worker
@@ -26,53 +32,25 @@
 //!
 //! Together with the merge-by-index join, the output is byte-identical
 //! for **any** `(threads, chunk_size)` pair — property-tested in this
-//! module across threads × chunk sizes × token presence.
+//! module across worker counts × chunk sizes × token presence.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use crate::cancel::{CancelToken, Cancelled};
 
-/// Environment variable forcing the [`Granularity::Auto`] chunk size, for
-/// CI determinism runs that re-execute the identity suites at a
-/// non-default grain. Explicit [`Granularity::Items`] requests are never
-/// overridden. Chunk size cannot affect results (see the
-/// [module docs](self)), so this is a scheduling knob, not a correctness
-/// one.
-pub const CHUNK_ENV: &str = "GTL_EXEC_CHUNK";
+/// Environment variable forcing the chunk size of every map, for CI
+/// determinism runs that re-execute the identity suites at a non-default
+/// grain. Chunk size cannot affect results (see the [module docs](self)),
+/// so this is a scheduling knob, not a correctness one.
+const CHUNK_ENV: &str = "GTL_EXEC_CHUNK";
 
-/// How a map partitions its index space into scheduler claims.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Granularity {
-    /// Chunk size picked by [`auto_chunk`] from the item count (honoring
-    /// the [`CHUNK_ENV`] override). The right default for every call
-    /// site that has no measured reason to override.
-    #[default]
-    Auto,
-    /// Fixed chunk size in items (clamped to at least 1).
-    Items(usize),
-}
-
-/// The auto-chunk heuristic: the chunk size [`Granularity::Auto`]
-/// resolves to for an `len`-item map.
+/// The auto-chunk heuristic: the chunk size of an `len`-item map.
 ///
 /// A pure function of `len` alone — **never** of the worker count or the
 /// machine — so the decomposition it induces is part of the deterministic
-/// schedule shape, not of the hardware. It aims at ~128 claims per map:
-/// small maps (the finder's per-seed searches, tile stripes) keep
-/// per-item claims and maximum load-balancing slack, while maps with
-/// thousands of cheap items get chunks that amortize the atomic claim
-/// and the per-chunk cancellation poll.
-///
-/// # Example
-///
-/// ```
-/// use gtl_core::exec::auto_chunk;
-///
-/// assert_eq!(auto_chunk(64), 1); // small maps: per-item claims
-/// assert_eq!(auto_chunk(1_280), 10); // large maps: ~128 claims
-/// ```
-pub fn auto_chunk(len: usize) -> usize {
+/// schedule shape, not of the hardware. It aims at ~128 claims per map.
+fn auto_chunk(len: usize) -> usize {
     (len / 128).max(1)
 }
 
@@ -84,14 +62,6 @@ fn chunk_override() -> Option<usize> {
     })
 }
 
-/// Resolves a [`Granularity`] to a concrete chunk size for `len` items.
-fn resolve_chunk(granularity: Granularity, len: usize) -> usize {
-    match granularity {
-        Granularity::Items(c) => c.max(1),
-        Granularity::Auto => chunk_override().unwrap_or_else(|| auto_chunk(len)),
-    }
-}
-
 /// Resolves a requested worker count against the machine and item count.
 ///
 /// `0` means "all available cores"; any request is capped at the
@@ -101,7 +71,7 @@ fn resolve_chunk(granularity: Granularity, len: usize) -> usize {
 /// and the result is clamped to `[1, len]` (never more workers than
 /// claims, never zero). Worker count cannot affect results, so the cap
 /// is invisible in the output.
-pub fn effective_threads(requested: usize, len: usize) -> usize {
+fn effective_threads(requested: usize, len: usize) -> usize {
     let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let req = if requested == 0 { hw } else { requested.min(hw) };
     req.min(len).max(1)
@@ -139,14 +109,14 @@ pub fn derive_stream(master_seed: u64, index: u64) -> u64 {
 /// `threads` workers (`0` = all cores, capped at the machine) and returns
 /// the results in index order. `init(worker)` builds each worker's
 /// scratch exactly once; the worker id is provided for diagnostics only
-/// and must not influence results. Claims one item at a time — use
-/// [`parallel_map_chunked_with`] to pick a coarser grain.
+/// and must not influence results. A map without scratch passes
+/// `|_| ()` and `|(), i| …`.
 ///
 /// # Determinism
 ///
-/// The output is identical for every thread count provided `f` is a pure
-/// function of `(index, scratch-after-reset)` — see the
-/// [crate-level contract](crate).
+/// The output is identical for every thread count and chunk size
+/// provided `f` is a pure function of `(index, scratch-after-reset)` —
+/// see the [crate-level contract](crate).
 ///
 /// # Panics
 ///
@@ -177,50 +147,7 @@ where
     I: Fn(usize) -> S + Sync,
     F: Fn(&mut S, usize) -> T + Sync,
 {
-    parallel_map_chunked_with(threads, len, Granularity::Items(1), init, f)
-}
-
-/// [`parallel_map_with`] with an explicit scheduling [`Granularity`].
-///
-/// Workers claim contiguous chunks of the index space instead of single
-/// items, amortizing the atomic claim, the per-chunk cancellation poll
-/// and per-worker scratch/cache churn over `chunk_size` items. The chunk
-/// decomposition is a pure function of `(len, chunk_size)` — never of
-/// the worker count — and per-item work is unchanged, so the output is
-/// byte-identical to [`parallel_map_with`] for every
-/// `(threads, granularity)` pair (property-tested in this module).
-///
-/// # Panics
-///
-/// Propagates panics from `f`, like [`parallel_map_with`].
-///
-/// # Example
-///
-/// ```
-/// use gtl_core::exec::{parallel_map_chunked_with, Granularity};
-///
-/// let out = parallel_map_chunked_with(
-///     2,
-///     10,
-///     Granularity::Items(4), // claims: [0..4), [4..8), [8..10)
-///     |_worker| (),
-///     |(), i| i * 3,
-/// );
-/// assert_eq!(out, (0..10).map(|i| i * 3).collect::<Vec<_>>());
-/// ```
-pub fn parallel_map_chunked_with<S, T, I, F>(
-    threads: usize,
-    len: usize,
-    granularity: Granularity,
-    init: I,
-    f: F,
-) -> Vec<T>
-where
-    T: Send,
-    I: Fn(usize) -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
-    match run_map(threads, len, granularity, None, init, f) {
+    match parallel_map_with_cancellable(threads, len, None, init, f) {
         Ok(out) => out,
         Err(_) => unreachable!("a map without a token cannot be cancelled"),
     }
@@ -228,12 +155,11 @@ where
 
 /// [`parallel_map_with`] with cooperative cancellation.
 ///
-/// `token` is polled **between claims**: workers finish the chunk they
-/// are on (one item, for the per-item entry points), then stop claiming;
-/// the call returns within one claim's compute of the token firing. When
-/// the token never fires, the result is byte-identical to
-/// [`parallel_map_with`] for any thread count (the two share one
-/// implementation; property-tested in this module).
+/// A present `token` is polled **between claims**: workers finish the
+/// chunk they are on, then stop claiming; the call returns within one
+/// claim's compute of the token firing. `None`, or a token that never
+/// fires, yields the output of [`parallel_map_with`] byte for byte (it
+/// is the same scheduler; property-tested in this module).
 ///
 /// # Errors
 ///
@@ -245,57 +171,25 @@ where
 /// # Panics
 ///
 /// Propagates panics from `f`, like [`parallel_map_with`].
+///
+/// # Example
+///
+/// ```
+/// use gtl_core::cancel::CancelToken;
+/// use gtl_core::exec::{parallel_map_with, parallel_map_with_cancellable};
+///
+/// let square = |(): &mut (), i: usize| i * i;
+/// let live = CancelToken::new();
+/// let out = parallel_map_with_cancellable(4, 5, Some(&live), |_| (), square).unwrap();
+/// assert_eq!(out, parallel_map_with(4, 5, |_| (), square));
+///
+/// let tripped = CancelToken::new();
+/// tripped.cancel();
+/// assert!(parallel_map_with_cancellable(4, 5, Some(&tripped), |_| (), square).is_err());
+/// ```
 pub fn parallel_map_with_cancellable<S, T, I, F>(
     threads: usize,
     len: usize,
-    token: &CancelToken,
-    init: I,
-    f: F,
-) -> Result<Vec<T>, Cancelled>
-where
-    T: Send,
-    I: Fn(usize) -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
-    run_map(threads, len, Granularity::Items(1), Some(token), init, f)
-}
-
-/// [`parallel_map_chunked_with`] with cooperative cancellation: the
-/// token is polled between chunk claims (workers always finish the chunk
-/// they are on), and a never-firing token is byte-invisible for every
-/// `(threads, granularity)` pair.
-///
-/// # Errors
-///
-/// [`Cancelled`] once the token fires.
-///
-/// # Panics
-///
-/// Propagates panics from `f`, like [`parallel_map_with`].
-pub fn parallel_map_chunked_with_cancellable<S, T, I, F>(
-    threads: usize,
-    len: usize,
-    granularity: Granularity,
-    token: &CancelToken,
-    init: I,
-    f: F,
-) -> Result<Vec<T>, Cancelled>
-where
-    T: Send,
-    I: Fn(usize) -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
-    run_map(threads, len, granularity, Some(token), init, f)
-}
-
-/// Resolves the chunk size and worker count, then runs the shared
-/// scheduler — one code path behind every public map, so "token never
-/// fires" and "chunk size changed" are *structurally* byte-identical to
-/// the plain per-item map.
-fn run_map<S, T, I, F>(
-    threads: usize,
-    len: usize,
-    granularity: Granularity,
     token: Option<&CancelToken>,
     init: I,
     f: F,
@@ -305,22 +199,20 @@ where
     I: Fn(usize) -> S + Sync,
     F: Fn(&mut S, usize) -> T + Sync,
 {
-    let checkpoint = crate::cancel::checkpoint;
     if len == 0 {
-        checkpoint(token)?;
+        crate::cancel::checkpoint(token)?;
         return Ok(Vec::new());
     }
-    let chunk = resolve_chunk(granularity, len);
-    let num_chunks = len.div_ceil(chunk);
-    let workers = effective_threads(threads, num_chunks);
+    let chunk = chunk_override().unwrap_or_else(|| auto_chunk(len));
+    let workers = effective_threads(threads, len.div_ceil(chunk));
     map_impl(workers, len, chunk, token, init, f)
 }
 
 /// The scheduler core. `workers` is the already-resolved worker count
 /// (≥ 1), `chunk` the already-resolved chunk size (≥ 1), and `len > 0`.
-/// Kept separate from [`run_map`] so the in-module tests can force
-/// worker counts beyond the machine's cores and still exercise the
-/// multi-worker claim/merge path on any box.
+/// Kept separate from [`parallel_map_with_cancellable`] so the in-module
+/// tests can force worker counts beyond the machine's cores and chunk
+/// sizes other than the auto heuristic.
 fn map_impl<S, T, I, F>(
     workers: usize,
     len: usize,
@@ -404,125 +296,36 @@ where
     Ok(slots.into_iter().map(|slot| slot.expect("every index is claimed exactly once")).collect())
 }
 
-/// Deterministic parallel map without scratch state.
-///
-/// Shorthand for [`parallel_map_with`] with unit scratch; same determinism
-/// contract and panic behavior.
-///
-/// # Example
-///
-/// ```
-/// use gtl_core::exec::parallel_map;
-///
-/// // Results come back in index order for any worker count.
-/// assert_eq!(parallel_map(8, 5, |i| i * i), vec![0, 1, 4, 9, 16]);
-/// assert_eq!(parallel_map(1, 5, |i| i * i), parallel_map(3, 5, |i| i * i));
-/// ```
-pub fn parallel_map<T, F>(threads: usize, len: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    parallel_map_with(threads, len, |_| (), |(), i| f(i))
-}
-
-/// [`parallel_map`] with an explicit scheduling [`Granularity`];
-/// shorthand for [`parallel_map_chunked_with`] with unit scratch (same
-/// determinism contract — the output never depends on the granularity).
-///
-/// # Example
-///
-/// ```
-/// use gtl_core::exec::{parallel_map, parallel_map_chunked, Granularity};
-///
-/// let auto = parallel_map_chunked(4, 300, Granularity::Auto, |i| i + 1);
-/// let fixed = parallel_map_chunked(2, 300, Granularity::Items(7), |i| i + 1);
-/// assert_eq!(auto, parallel_map(1, 300, |i| i + 1));
-/// assert_eq!(auto, fixed);
-/// ```
-pub fn parallel_map_chunked<T, F>(
-    threads: usize,
-    len: usize,
-    granularity: Granularity,
-    f: F,
-) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    parallel_map_chunked_with(threads, len, granularity, |_| (), |(), i| f(i))
-}
-
-/// [`parallel_map`] with cooperative cancellation; shorthand for
-/// [`parallel_map_with_cancellable`] with unit scratch (same polling,
-/// determinism and error contract).
-///
-/// # Errors
-///
-/// [`Cancelled`] once the token fires.
-///
-/// # Example
-///
-/// ```
-/// use gtl_core::cancel::CancelToken;
-/// use gtl_core::exec::{parallel_map, parallel_map_cancellable};
-///
-/// let live = CancelToken::new();
-/// let out = parallel_map_cancellable(4, 5, &live, |i| i * i).unwrap();
-/// assert_eq!(out, parallel_map(4, 5, |i| i * i));
-///
-/// let tripped = CancelToken::new();
-/// tripped.cancel();
-/// assert!(parallel_map_cancellable(4, 5, &tripped, |i| i * i).is_err());
-/// ```
-pub fn parallel_map_cancellable<T, F>(
-    threads: usize,
-    len: usize,
-    token: &CancelToken,
-    f: F,
-) -> Result<Vec<T>, Cancelled>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    parallel_map_with_cancellable(threads, len, token, |_| (), |(), i| f(i))
-}
-
-/// [`parallel_map_chunked`] with cooperative cancellation; shorthand for
-/// [`parallel_map_chunked_with_cancellable`] with unit scratch.
-///
-/// # Errors
-///
-/// [`Cancelled`] once the token fires.
-pub fn parallel_map_chunked_cancellable<T, F>(
-    threads: usize,
-    len: usize,
-    granularity: Granularity,
-    token: &CancelToken,
-    f: F,
-) -> Result<Vec<T>, Cancelled>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    parallel_map_chunked_with_cancellable(threads, len, granularity, token, |_| (), |(), i| f(i))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
 
+    /// A map without scratch through the public entry point.
+    fn map<T: Send>(threads: usize, len: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        parallel_map_with(threads, len, |_| (), |(), i| f(i))
+    }
+
+    /// [`map`] under a token.
+    fn map_cancellable<T: Send>(
+        threads: usize,
+        len: usize,
+        token: &CancelToken,
+        f: impl Fn(usize) -> T + Sync,
+    ) -> Result<Vec<T>, Cancelled> {
+        parallel_map_with_cancellable(threads, len, Some(token), |_| (), |(), i| f(i))
+    }
+
     #[test]
     fn empty_input_yields_empty_output() {
-        let out: Vec<u32> = parallel_map(4, 0, |_| unreachable!());
+        let out: Vec<u32> = map(4, 0, |_| unreachable!());
         assert!(out.is_empty());
     }
 
     #[test]
     fn results_are_in_index_order() {
         for threads in [1, 2, 3, 8] {
-            let out = parallel_map(threads, 100, |i| i * i);
+            let out = map(threads, 100, |i| i * i);
             assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>(), "threads={threads}");
         }
     }
@@ -541,9 +344,9 @@ mod tests {
     #[test]
     fn thread_count_does_not_change_output() {
         let work = uneven(42);
-        let baseline = parallel_map(1, 200, work);
+        let baseline = map(1, 200, work);
         for threads in [2, 4, 8] {
-            assert_eq!(parallel_map(threads, 200, work), baseline, "threads={threads}");
+            assert_eq!(map(threads, 200, work), baseline, "threads={threads}");
         }
         // The public entry points cap workers at the machine; force the
         // multi-worker claim/merge path directly so this holds even on a
@@ -558,26 +361,13 @@ mod tests {
     #[test]
     fn chunk_size_does_not_change_output() {
         let work = uneven(7);
-        let baseline = parallel_map(1, 150, work);
+        let baseline = map(1, 150, work);
         for chunk in [1, 2, 3, 7, 64, 150, 1000] {
             for workers in [1, 2, 4] {
                 let out =
                     map_impl(workers, 150, chunk, None, |_| (), |(), i| work(i)).expect("no token");
                 assert_eq!(out, baseline, "workers={workers} chunk={chunk}");
             }
-        }
-    }
-
-    #[test]
-    fn chunked_public_entry_points_match_per_item() {
-        let work = uneven(3);
-        let baseline = parallel_map(2, 90, work);
-        for granularity in [Granularity::Auto, Granularity::Items(4), Granularity::Items(0)] {
-            assert_eq!(parallel_map_chunked(2, 90, granularity, work), baseline, "{granularity:?}");
-            let token = CancelToken::new();
-            let cancellable =
-                parallel_map_chunked_cancellable(2, 90, granularity, &token, work).unwrap();
-            assert_eq!(cancellable, baseline, "{granularity:?} cancellable");
         }
     }
 
@@ -628,7 +418,7 @@ mod tests {
 
     #[test]
     fn more_threads_than_items_is_fine() {
-        let out = parallel_map(64, 3, |i| i + 1);
+        let out = map(64, 3, |i| i + 1);
         assert_eq!(out, vec![1, 2, 3]);
     }
 
@@ -674,7 +464,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "boom")]
     fn serial_panic_propagates() {
-        let _ = parallel_map(1, 10, |i| {
+        let _ = map(1, 10, |i| {
             if i == 5 {
                 panic!("boom");
             }
@@ -688,7 +478,7 @@ mod tests {
         token.cancel();
         let ran = AtomicUsize::new(0);
         for threads in [1, 4] {
-            let result = parallel_map_cancellable(threads, 100, &token, |i| {
+            let result = map_cancellable(threads, 100, &token, |i| {
                 ran.fetch_add(1, Ordering::Relaxed);
                 i
             });
@@ -758,34 +548,16 @@ mod tests {
     fn cancelled_empty_map_still_reports_cancellation() {
         let token = CancelToken::new();
         token.cancel();
-        let result: Vec<u32> = Vec::new();
-        let err: Result<Vec<u32>, _> = parallel_map_cancellable(4, 0, &token, |_| unreachable!());
+        let err: Result<Vec<u32>, _> = map_cancellable(4, 0, &token, |_| unreachable!());
         assert!(err.is_err());
-        drop(result);
     }
 
     #[test]
     fn deadline_token_trips_the_map() {
         let token =
             CancelToken::with_deadline(crate::cancel::Deadline::at(std::time::Instant::now()));
-        let err = parallel_map_cancellable(3, 50, &token, |i| i).unwrap_err();
+        let err = map_cancellable(3, 50, &token, |i| i).unwrap_err();
         assert_eq!(err.reason, crate::cancel::CancelReason::DeadlineExceeded);
-    }
-
-    #[test]
-    fn live_token_leaves_results_identical_with_scratch() {
-        let token = CancelToken::new();
-        let init = |_worker: usize| Vec::<usize>::new();
-        let item = |scratch: &mut Vec<usize>, i: usize| {
-            scratch.clear();
-            scratch.extend(0..=i);
-            scratch.iter().sum::<usize>()
-        };
-        let plain = parallel_map_with(4, 64, init, item);
-        let cancellable = parallel_map_with_cancellable(4, 64, &token, init, item).unwrap();
-        assert_eq!(plain, cancellable);
-        let chunked = parallel_map_chunked_with(4, 64, Granularity::Items(5), init, item);
-        assert_eq!(plain, chunked);
     }
 }
 
@@ -795,58 +567,43 @@ mod cancellable_props {
     use proptest::prelude::*;
 
     proptest! {
-        /// The tentpole determinism property: a token that never fires
-        /// leaves `parallel_map_cancellable` byte-identical to
-        /// `parallel_map`, for any worker count and input size.
-        #[test]
-        fn never_firing_token_is_invisible(
-            threads in 0usize..9,
-            len in 0usize..80,
-            seed in 0u64..=u64::MAX,
-        ) {
-            let work = move |i: usize| {
-                // Uneven per-item cost so schedules actually differ.
-                let mut acc = derive_stream(seed, i as u64);
-                for _ in 0..(acc % 512) {
-                    acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);
-                }
-                acc
-            };
-            let token = CancelToken::new();
-            let plain = parallel_map(threads, len, work);
-            let cancellable = parallel_map_cancellable(threads, len, &token, work).unwrap();
-            prop_assert_eq!(plain, cancellable);
-        }
-
-        /// The chunked-scheduling extension of the property above:
-        /// byte-identity across forced worker counts × chunk sizes ×
-        /// token presence. Drives `map_impl` directly so the
+        /// The determinism property of the one scheduler: forced worker
+        /// counts × chunk sizes × token absent or live (never firing)
+        /// leave the output — scratch reuse included — byte-identical to
+        /// the 1-worker map. Drives `map_impl` directly so the
         /// multi-worker path runs even on single-core machines (the
-        /// public entry points cap workers at the hardware).
+        /// public entry points cap workers at the hardware), and the
+        /// public entry point at any requested thread count.
         #[test]
         fn chunking_is_invisible_for_any_worker_count(
+            threads in 0usize..9,
             workers in 1usize..5,
             chunk in 1usize..70,
             len in 0usize..80,
             with_token in 0u8..2,
             seed in 0u64..=u64::MAX,
         ) {
-            let work = move |i: usize| {
+            let init = |_worker: usize| Vec::<u64>::new();
+            let work = move |scratch: &mut Vec<u64>, i: usize| {
+                // Uneven per-item cost so schedules actually differ;
+                // the scratch is reset before it is read.
+                scratch.clear();
                 let mut acc = derive_stream(seed, i as u64);
                 for _ in 0..(acc % 512) {
                     acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    scratch.push(acc);
                 }
-                acc
+                scratch.iter().fold(acc, |h, &x| h.rotate_left(5) ^ x)
             };
-            let baseline = parallel_map(1, len, work);
+            let baseline = parallel_map_with(1, len, init, work);
             let token = CancelToken::new();
-            let out = if len == 0 {
-                Vec::new()
-            } else {
-                let tok = (with_token == 1).then_some(&token);
-                map_impl(workers, len, chunk, tok, |_| (), |(), i| work(i)).unwrap()
-            };
-            prop_assert_eq!(out, baseline);
+            let tok = (with_token == 1).then_some(&token);
+            let public = parallel_map_with_cancellable(threads, len, tok, init, work).unwrap();
+            prop_assert_eq!(&public, &baseline);
+            if len > 0 {
+                let forced = map_impl(workers, len, chunk, tok, init, work).unwrap();
+                prop_assert_eq!(&forced, &baseline);
+            }
         }
     }
 }

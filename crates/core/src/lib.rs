@@ -9,17 +9,17 @@
 //! blocking admission primitives (bounded FIFO queue, counting semaphore)
 //! the `gtl-runtime` service layer schedules work with, and [`cancel`]
 //! the cooperative cancellation tokens (atomic flag + optional monotonic
-//! deadline) the `*_cancellable` map variants and the service runtime
-//! poll between work items. [`obs`] supplies the deterministic latency
-//! histogram + injected-clock span primitives the serve path records
-//! timings with — compute code may carry and subtract instants but never
-//! acquires one (see the module's byte-invisibility contract).
+//! deadline) [`exec::parallel_map_with_cancellable`] and the service
+//! runtime poll between work items. [`obs`] supplies the deterministic
+//! latency histogram + injected-clock span primitives the serve path
+//! records timings with — compute code may carry and subtract instants
+//! but never acquires one (see the module's byte-invisibility contract).
 //! [`testdir`] hands every test its own scratch directory.
 //!
 //! # Determinism contract
 //!
-//! The execution layer guarantees, for [`exec::parallel_map`],
-//! [`exec::parallel_map_with`] and their `*_chunked` variants:
+//! The execution layer guarantees, for [`exec::parallel_map_with`] and
+//! [`exec::parallel_map_with_cancellable`]:
 //!
 //! 1. **Ordered results.** The output `Vec` has one slot per input index,
 //!    in input order, regardless of which worker computed which index and
@@ -32,11 +32,11 @@
 //!    their RNG from [`exec::derive_stream`]`(master_seed, index)` — never
 //!    from a worker-local or shared stream — so the stream attached to an
 //!    index does not depend on scheduling.
-//! 4. **Granularity independence.** Workers claim contiguous *chunks* of
+//! 4. **Chunk-size independence.** Workers claim contiguous *chunks* of
 //!    the index space; chunk boundaries are a pure function of
 //!    `(len, chunk_size)` — never of the worker count — and per-item work
-//!    is unchanged, so the scheduling grain ([`exec::Granularity`]) is a
-//!    pure performance knob that cannot change output bytes.
+//!    is unchanged, so the scheduling grain (see [`exec`]) is a pure
+//!    performance knob that cannot change output bytes.
 //!
 //! # Scratch-buffer reuse
 //!
@@ -58,12 +58,7 @@ pub mod sync;
 pub mod testdir;
 
 pub use cancel::{CancelReason, CancelToken, Cancelled, Deadline};
-pub use exec::{
-    auto_chunk, derive_stream, effective_threads, parallel_map, parallel_map_cancellable,
-    parallel_map_chunked, parallel_map_chunked_cancellable, parallel_map_chunked_with,
-    parallel_map_chunked_with_cancellable, parallel_map_with, parallel_map_with_cancellable,
-    Granularity,
-};
+pub use exec::{derive_stream, parallel_map_with, parallel_map_with_cancellable};
 pub use obs::{LatencyHistogram, Span};
 pub use shard::{auto_grid, stripes, ShardGrid, DEFAULT_STRIPE_ROWS};
 pub use sync::{BoundedQueue, Semaphore};

@@ -374,7 +374,7 @@ mod tests {
 #[cfg(test)]
 mod span_props {
     use super::*;
-    use crate::exec::{derive_stream, parallel_map, parallel_map_with};
+    use crate::exec::{derive_stream, parallel_map_with};
     use proptest::prelude::*;
     use std::time::Duration;
 
@@ -400,7 +400,7 @@ mod span_props {
                 }
                 acc
             };
-            let plain = parallel_map(threads, len, work);
+            let plain = parallel_map_with(threads, len, |_| (), |(), i| work(i));
             // Both span endpoints are injected at the call boundary —
             // the compute closure never touches a clock, it only
             // subtracts the instants it was handed and records the

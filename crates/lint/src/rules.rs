@@ -73,7 +73,8 @@ pub fn check_file(rel_path: &Path, zone: Zone, lexed: &Lexed, in_test: &[bool]) 
                     rule: "no-raw-thread",
                     message: format!(
                         "raw `thread::{}` outside gtl_core::exec — all compute fan-out must go \
-                         through exec::parallel_map* (ordered, worker-count-invariant)",
+                         through exec::parallel_map_with[_cancellable] (ordered, \
+                         worker-count-invariant)",
                         text(i + 3)
                     ),
                 });

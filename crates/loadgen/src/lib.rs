@@ -25,7 +25,7 @@
 //! server shape produce byte-identical response logs; the determinism
 //! matrix in CI holds that across server thread/chunk shapes.
 //!
-//! Connection fan-out goes through [`gtl_core::exec::parallel_map`] (the
+//! Connection fan-out goes through [`gtl_core::exec::parallel_map_with`] (the
 //! workspace's only sanctioned fan-out primitive — `gtl-lint` enforces
 //! this); the record proxy is single-threaded by design.
 

@@ -20,7 +20,7 @@
 //! protocol answers in order, and the response log concatenates
 //! connections in id order — so two replays of the same trace against
 //! the same server shape are byte-identical, which is what `--expect`
-//! checks. Connection fan-out uses [`gtl_core::exec::parallel_map`].
+//! checks. Connection fan-out uses [`gtl_core::exec::parallel_map_with`].
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -30,7 +30,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use gtl_api::ApiError;
-use gtl_core::exec::parallel_map;
+use gtl_core::exec::parallel_map_with;
 use gtl_core::obs::LatencyHistogram;
 use serde::Value;
 
@@ -257,14 +257,19 @@ pub fn replay(records: &[TraceRecord], options: &ReplayOptions) -> Result<Replay
     };
     let mode = options.mode;
     let start = Instant::now();
-    let outputs: Vec<Result<ConnOutput, ApiError>> = parallel_map(plans.len(), plans.len(), |i| {
-        let stream = streams[i]
-            .lock()
-            .map_err(|_| ApiError::io("replay connection state poisoned"))?
-            .take()
-            .ok_or_else(|| ApiError::io("replay connection taken twice"))?;
-        run_conn(stream, &plans[i].1, mode, start)
-    });
+    let outputs: Vec<Result<ConnOutput, ApiError>> = parallel_map_with(
+        plans.len(),
+        plans.len(),
+        |_| (),
+        |(), i| {
+            let stream = streams[i]
+                .lock()
+                .map_err(|_| ApiError::io("replay connection state poisoned"))?
+                .take()
+                .ok_or_else(|| ApiError::io("replay connection taken twice"))?;
+            run_conn(stream, &plans[i].1, mode, start)
+        },
+    );
     let wall_seconds = start.elapsed().as_secs_f64().max(1e-9);
     let outputs: Vec<ConnOutput> = outputs.into_iter().collect::<Result<_, _>>()?;
 

@@ -2,7 +2,7 @@
 //! loopback port and drive it with `gtl_loadgen::replay`.
 //!
 //! Raw `thread::scope` is fine here (test zone); production loadgen code
-//! fans out through `gtl_core::exec::parallel_map` only.
+//! fans out through `gtl_core::exec::parallel_map_with` only.
 
 use std::path::PathBuf;
 

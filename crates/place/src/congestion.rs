@@ -22,7 +22,7 @@
 //! [`estimate`] does not deposit each net into a shared global grid.
 //! Instead the tile rows are split into horizontal *stripes*
 //! ([`gtl_core::shard::stripes`]), nets are binned to the stripes their
-//! bounding box crosses, and one [`gtl_core::exec::parallel_map`] pass
+//! bounding box crosses, and one [`gtl_core::exec::parallel_map_with`] pass
 //! computes every stripe's demand slab — each stripe owning its own
 //! accumulator, which doubles as the returned slab. Within a stripe, nets
 //! deposit in ascending id order, so every tile receives exactly the
@@ -31,7 +31,7 @@
 
 use std::ops::Range;
 
-use gtl_core::exec::{parallel_map_chunked, parallel_map_chunked_cancellable, Granularity};
+use gtl_core::exec::parallel_map_with_cancellable;
 use gtl_core::shard::stripes;
 use gtl_netlist::{NetId, Netlist};
 
@@ -469,7 +469,7 @@ fn estimate_impl(
     // One batched pass: each stripe accumulates its own slab pair (the
     // slab doubles as the returned result, so it is allocated exactly
     // once — no shared grid, no per-net allocation, no copy-out).
-    let stripe_pass = |s: usize| {
+    let stripe_pass = |(): &mut (), s: usize| {
         let rows = &row_stripes[s];
         let len = rows.len() * t;
         let mut h_acc = vec![0.0f64; len];
@@ -492,18 +492,13 @@ fn estimate_impl(
         }
         (h_acc, v_acc)
     };
-    let slabs: Vec<(Vec<f64>, Vec<f64>)> = match token {
-        None => {
-            parallel_map_chunked(config.threads, row_stripes.len(), Granularity::Auto, stripe_pass)
-        }
-        Some(token) => parallel_map_chunked_cancellable(
-            config.threads,
-            row_stripes.len(),
-            Granularity::Auto,
-            token,
-            stripe_pass,
-        )?,
-    };
+    let slabs: Vec<(Vec<f64>, Vec<f64>)> = parallel_map_with_cancellable(
+        config.threads,
+        row_stripes.len(),
+        token,
+        |_| (),
+        stripe_pass,
+    )?;
 
     // Stitch stripe slabs into the full grid (each tile row belongs to
     // exactly one stripe).

@@ -59,9 +59,7 @@ pub mod wirelength;
 
 mod placer;
 
-pub use placer::{
-    place, place_cancellable, place_cancellable_with_scratch, PlaceScratch, Placement, PlacerConfig,
-};
+pub use placer::{place, place_with, PlaceScratch, Placement, PlacerConfig};
 
 use gtl_netlist::Netlist;
 

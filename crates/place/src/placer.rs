@@ -11,7 +11,7 @@
 //! thread count; see `crates/place/tests/determinism.rs`.
 
 use gtl_core::cancel::{CancelToken, Cancelled};
-use gtl_core::exec::{derive_stream, parallel_map_chunked_with, Granularity};
+use gtl_core::exec::{derive_stream, parallel_map_with};
 use gtl_core::shard::{auto_grid, ShardGrid};
 use gtl_netlist::{CellId, Netlist};
 use rand::rngs::SmallRng;
@@ -197,38 +197,16 @@ impl PlacerConfig {
 /// assert!(x >= 0.0 && x <= die.width && y >= 0.0 && y <= die.height);
 /// ```
 pub fn place(netlist: &Netlist, die: &Die, config: &PlacerConfig) -> Placement {
-    match place_impl(netlist, die, config, None, &mut PlaceScratch::default()) {
+    match place_with(netlist, die, config, None, &mut PlaceScratch::default()) {
         Ok(placement) => placement,
         Err(_) => unreachable!("a placement without a token cannot be cancelled"),
     }
 }
 
-/// [`place`] polling `token` between solve/spread iterations: a fired
-/// token makes the run return [`Cancelled`] at the next iteration
-/// boundary (the checkpoint interval is one anchored solve + spread). A
-/// token that never fires yields a placement identical to [`place`]
-/// (same code path).
-///
-/// # Errors
-///
-/// [`Cancelled`] once the token fires.
-///
-/// # Panics
-///
-/// Panics if the netlist has no cells, like [`place`].
-pub fn place_cancellable(
-    netlist: &Netlist,
-    die: &Die,
-    config: &PlacerConfig,
-    token: &CancelToken,
-) -> Result<Placement, Cancelled> {
-    place_impl(netlist, die, config, Some(token), &mut PlaceScratch::default())
-}
-
-/// Reusable cross-request scratch for [`place_cancellable_with_scratch`]:
-/// today the Laplacian build's triplet buffers. A long-lived caller (the
-/// serving session) holds one per session so repeated placements of the
-/// same netlist stop reallocating the `O(pins)` CSR intermediate.
+/// Reusable cross-request scratch for [`place_with`]: today the
+/// Laplacian build's triplet buffers. A long-lived caller (the serving
+/// session) holds one per session so repeated placements of the same
+/// netlist stop reallocating the `O(pins)` CSR intermediate.
 #[derive(Debug, Default)]
 pub struct PlaceScratch {
     laplacian: LaplacianScratch,
@@ -241,9 +219,14 @@ impl PlaceScratch {
     }
 }
 
-/// [`place_cancellable`] reusing caller-owned [`PlaceScratch`]. The
-/// placement is identical to [`place_cancellable`] — scratch contents on
-/// entry are ignored.
+/// [`place`] with an optional cancellation token and caller-owned
+/// [`PlaceScratch`] (its contents on entry are ignored).
+///
+/// A present `token` is polled between solve/spread iterations: a fired
+/// token makes the run return [`Cancelled`] at the next iteration
+/// boundary (the checkpoint interval is one anchored solve + spread).
+/// `None`, or a token that never fires, yields the placement of
+/// [`place`] (same code path).
 ///
 /// # Errors
 ///
@@ -252,18 +235,7 @@ impl PlaceScratch {
 /// # Panics
 ///
 /// Panics if the netlist has no cells, like [`place`].
-pub fn place_cancellable_with_scratch(
-    netlist: &Netlist,
-    die: &Die,
-    config: &PlacerConfig,
-    token: &CancelToken,
-    scratch: &mut PlaceScratch,
-) -> Result<Placement, Cancelled> {
-    place_impl(netlist, die, config, Some(token), scratch)
-}
-
-/// The shared placer loop behind [`place`] and [`place_cancellable`].
-fn place_impl(
+pub fn place_with(
     netlist: &Netlist,
     die: &Die,
     config: &PlacerConfig,
@@ -324,10 +296,9 @@ fn solve_pass(
         // the only per-solve allocation is the returned solution.
         let (xs_now, ys_now): (&[f64], &[f64]) = (xs, ys);
         let anchor = vec![alpha; n];
-        let mut solved = parallel_map_chunked_with(
+        let mut solved = parallel_map_with(
             config.threads,
             2,
-            Granularity::Auto,
             |_worker| (SolveScratch::new(), Vec::new()),
             |(scratch, rhs), axis| {
                 let (t, pos) =
@@ -357,10 +328,9 @@ fn solve_pass(
         let jitter = TARGET_JITTER * die.width.max(die.height);
         let (xs_now, ys_now): (&[f64], &[f64]) = (xs, ys);
 
-        let solved: Vec<ShardResult> = parallel_map_chunked_with(
+        let solved: Vec<ShardResult> = parallel_map_with(
             config.threads,
             shards.len(),
-            Granularity::Auto,
             |_worker| (ShardSolver::new(n), Vec::new(), Vec::new()),
             |(solver, tx, ty), s| {
                 let cells = &shards[s];
@@ -529,7 +499,9 @@ mod tests {
         let die = Die::for_netlist(&nl, 0.5);
         let plain = place(&nl, &die, &PlacerConfig::default());
         let token = CancelToken::new();
-        let cancellable = place_cancellable(&nl, &die, &PlacerConfig::default(), &token).unwrap();
+        let cfg = PlacerConfig::default();
+        let cancellable =
+            place_with(&nl, &die, &cfg, Some(&token), &mut PlaceScratch::new()).unwrap();
         assert_eq!(plain, cancellable);
     }
 
@@ -541,8 +513,8 @@ mod tests {
         let token = CancelToken::new();
         let mut scratch = PlaceScratch::new();
         let cfg = PlacerConfig::default();
-        let first = place_cancellable_with_scratch(&nl, &die, &cfg, &token, &mut scratch).unwrap();
-        let second = place_cancellable_with_scratch(&nl, &die, &cfg, &token, &mut scratch).unwrap();
+        let first = place_with(&nl, &die, &cfg, Some(&token), &mut scratch).unwrap();
+        let second = place_with(&nl, &die, &cfg, Some(&token), &mut scratch).unwrap();
         assert_eq!(plain, first);
         assert_eq!(plain, second);
     }
@@ -553,7 +525,9 @@ mod tests {
         let die = Die::for_netlist(&nl, 0.5);
         let token = CancelToken::new();
         token.cancel();
-        let err = place_cancellable(&nl, &die, &PlacerConfig::default(), &token).unwrap_err();
+        let err =
+            place_with(&nl, &die, &PlacerConfig::default(), Some(&token), &mut PlaceScratch::new())
+                .unwrap_err();
         assert_eq!(err.reason, gtl_core::cancel::CancelReason::Cancelled);
     }
 
@@ -563,7 +537,9 @@ mod tests {
         let die = Die::for_netlist(&nl, 0.5);
         let token =
             CancelToken::with_deadline(gtl_core::cancel::Deadline::at(std::time::Instant::now()));
-        let err = place_cancellable(&nl, &die, &PlacerConfig::default(), &token).unwrap_err();
+        let err =
+            place_with(&nl, &die, &PlacerConfig::default(), Some(&token), &mut PlaceScratch::new())
+                .unwrap_err();
         assert_eq!(err.reason, gtl_core::cancel::CancelReason::DeadlineExceeded);
     }
 

@@ -32,7 +32,7 @@
 //! bit-identical for every worker count — and to the plain re-sorting
 //! recursion, which the unit tests keep as an oracle.
 
-use gtl_core::exec::{parallel_map, parallel_map_with};
+use gtl_core::exec::parallel_map_with;
 use gtl_netlist::Netlist;
 
 use crate::{Die, Placement};
@@ -111,11 +111,11 @@ impl DensityMap {
             stripe_cells[by / STRIPE_ROWS].push(cell.index() as u32);
         }
 
-        let slabs: Vec<Vec<f64>> = gtl_core::parallel_map_chunked(
+        let slabs: Vec<Vec<f64>> = parallel_map_with(
             threads,
             row_stripes.len(),
-            gtl_core::Granularity::Auto,
-            |s| {
+            |_| (),
+            |(), s| {
                 let rows = &row_stripes[s];
                 let mut slab = vec![0.0; rows.len() * bins];
                 for &raw in &stripe_cells[s] {
@@ -225,9 +225,12 @@ pub(crate) fn spread_with_threads(
         return Placement::from_coords(Vec::new(), Vec::new());
     }
     let ctx = Ctx { netlist, origx: &xs[..n], origy: &ys[..n], config };
-    let [mut by_x, mut by_y]: [Vec<u32>; 2] = parallel_map(threads, 2, |axis| {
-        sorted_by_coord(if axis == 0 { ctx.origx } else { ctx.origy })
-    })
+    let [mut by_x, mut by_y]: [Vec<u32>; 2] = parallel_map_with(
+        threads,
+        2,
+        |_| (),
+        |(), axis| sorted_by_coord(if axis == 0 { ctx.origx } else { ctx.origy }),
+    )
     .try_into()
     .expect("one list per axis");
 

@@ -177,50 +177,29 @@ impl<'a> TangledLogicFinder<'a> {
 
     /// Runs all three phases with randomly drawn seed cells.
     pub fn run(&self) -> FinderResult {
-        self.run_with_scratch(&mut crate::prune::PruneScratch::new(self.netlist.num_cells()))
-    }
-
-    /// [`TangledLogicFinder::run`] polling `token` between seed searches:
-    /// workers finish the search they are on, then the run returns
-    /// [`Cancelled`]. A token that never fires yields a result identical
-    /// to [`TangledLogicFinder::run`] (same code path through
-    /// `gtl_core::exec`).
-    ///
-    /// # Errors
-    ///
-    /// [`Cancelled`] once the token fires.
-    pub fn run_cancellable(&self, token: &CancelToken) -> Result<FinderResult, Cancelled> {
-        self.run_with_scratch_cancellable(
-            &mut crate::prune::PruneScratch::new(self.netlist.num_cells()),
-            token,
-        )
-    }
-
-    /// [`TangledLogicFinder::run`] with caller-owned pruning scratch, for
-    /// services running many finds over one netlist (the bitset of the
-    /// final pruning pass is reused instead of reallocated per request).
-    pub fn run_with_scratch(&self, scratch: &mut crate::prune::PruneScratch) -> FinderResult {
-        match self.run_scratch_impl(scratch, None) {
+        let mut scratch = crate::prune::PruneScratch::new(self.netlist.num_cells());
+        match self.run_with(&mut scratch, None) {
             Ok(result) => result,
             Err(_) => unreachable!("a run without a token cannot be cancelled"),
         }
     }
 
-    /// [`TangledLogicFinder::run_with_scratch`] with cooperative
-    /// cancellation (see [`TangledLogicFinder::run_cancellable`]).
+    /// [`TangledLogicFinder::run`] with caller-owned pruning scratch and
+    /// an optional cancellation token.
+    ///
+    /// `scratch` serves services running many finds over one netlist:
+    /// the bitset of the final pruning pass is reused instead of
+    /// reallocated per request, and its contents on entry are ignored.
+    /// A present `token` is polled between seed searches — workers
+    /// finish the search they are on, then the run returns
+    /// [`Cancelled`]. `None`, or a token that never fires, yields the
+    /// result of [`TangledLogicFinder::run`] (same code path through
+    /// `gtl_core::exec`).
     ///
     /// # Errors
     ///
     /// [`Cancelled`] once the token fires.
-    pub fn run_with_scratch_cancellable(
-        &self,
-        scratch: &mut crate::prune::PruneScratch,
-        token: &CancelToken,
-    ) -> Result<FinderResult, Cancelled> {
-        self.run_scratch_impl(scratch, Some(token))
-    }
-
-    fn run_scratch_impl(
+    pub fn run_with(
         &self,
         scratch: &mut crate::prune::PruneScratch,
         token: Option<&CancelToken>,
@@ -233,41 +212,13 @@ impl<'a> TangledLogicFinder<'a> {
         self.run_core(&seeds, scratch, token)
     }
 
-    /// Runs all three phases from caller-supplied seed cells.
-    ///
-    /// Useful for reproducing a specific figure (e.g. the inside/outside
-    /// agglomerations of Figures 2–3) or for deterministic tests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any seed is out of bounds.
-    pub fn run_from_seeds(&self, seeds: &[CellId]) -> FinderResult {
-        self.run_from_seeds_with(
-            seeds,
-            &mut crate::prune::PruneScratch::new(self.netlist.num_cells()),
-        )
-    }
-
-    /// [`TangledLogicFinder::run_from_seeds`] with caller-owned pruning
-    /// scratch (see [`TangledLogicFinder::run_with_scratch`]).
+    /// The three-phase pipeline from given seed cells, behind
+    /// [`TangledLogicFinder::run_with`]; `token` (when present) is
+    /// polled between seed searches and before the serial pruning pass.
     ///
     /// # Panics
     ///
     /// Panics if any seed is out of bounds.
-    pub fn run_from_seeds_with(
-        &self,
-        seeds: &[CellId],
-        scratch: &mut crate::prune::PruneScratch,
-    ) -> FinderResult {
-        match self.run_core(seeds, scratch, None) {
-            Ok(result) => result,
-            Err(_) => unreachable!("a run without a token cannot be cancelled"),
-        }
-    }
-
-    /// The shared three-phase pipeline behind every `run*` entry point;
-    /// `token` (when present) is polled between seed searches and before
-    /// the serial pruning pass.
     fn run_core(
         &self,
         seeds: &[CellId],
@@ -323,23 +274,13 @@ impl<'a> TangledLogicFinder<'a> {
         // The searches poll the token between items; the tail (pruning,
         // scoring) is cheap but still guarded so a cancelled run never
         // pays for it.
-        let results: Vec<Option<Candidate>> = match token {
-            None => gtl_core::parallel_map_chunked_with(
-                self.config.threads,
-                seeds.len(),
-                gtl_core::Granularity::Auto,
-                init,
-                search,
-            ),
-            Some(token) => gtl_core::parallel_map_chunked_with_cancellable(
-                self.config.threads,
-                seeds.len(),
-                gtl_core::Granularity::Auto,
-                token,
-                init,
-                search,
-            )?,
-        };
+        let results: Vec<Option<Candidate>> = gtl_core::parallel_map_with_cancellable(
+            self.config.threads,
+            seeds.len(),
+            token,
+            init,
+            search,
+        )?;
         gtl_core::cancel::checkpoint(token)?;
 
         let num_empty = results.iter().filter(|r| r.is_none()).count();
@@ -422,6 +363,21 @@ mod tests {
         (b.finish(), cells)
     }
 
+    /// The pipeline from given seeds (the Figures 2–3 setup).
+    fn run_on_seeds(finder: &TangledLogicFinder<'_>, seeds: &[CellId]) -> FinderResult {
+        let mut scratch = crate::prune::PruneScratch::new(finder.netlist.num_cells());
+        finder.run_core(seeds, &mut scratch, None).expect("no token")
+    }
+
+    /// [`TangledLogicFinder::run_with`] under `token`, with fresh scratch.
+    fn run_under(
+        finder: &TangledLogicFinder<'_>,
+        token: &CancelToken,
+    ) -> Result<FinderResult, Cancelled> {
+        let mut scratch = crate::prune::PruneScratch::new(finder.netlist.num_cells());
+        finder.run_with(&mut scratch, Some(token))
+    }
+
     fn config() -> FinderConfig {
         FinderConfig {
             num_seeds: 24,
@@ -470,10 +426,10 @@ mod tests {
     }
 
     #[test]
-    fn run_from_seeds_inside_clique() {
+    fn seeds_inside_cliques_find_both() {
         let (nl, cells) = testbed();
         let finder = TangledLogicFinder::new(&nl, config());
-        let result = finder.run_from_seeds(&[cells[42], cells[3]]);
+        let result = run_on_seeds(&finder, &[cells[42], cells[3]]);
         assert!(result.gtls.len() >= 2, "found {}", result.gtls.len());
         assert!(result.gtls.iter().all(|g| g.score < 0.9));
     }
@@ -487,7 +443,7 @@ mod tests {
         let mut cfg = config();
         cfg.max_order_len = 10;
         let finder_short = TangledLogicFinder::new(&nl, cfg);
-        let result = finder_short.run_from_seeds(&[cells[90]]);
+        let result = run_on_seeds(&finder_short, &[cells[90]]);
         assert_eq!(result.gtls.len(), 0);
         assert_eq!(result.num_empty_searches, 1);
         let _ = finder;
@@ -496,7 +452,7 @@ mod tests {
     #[test]
     fn scores_reported_for_both_metrics() {
         let (nl, cells) = testbed();
-        let result = TangledLogicFinder::new(&nl, config()).run_from_seeds(&[cells[44]]);
+        let result = run_on_seeds(&TangledLogicFinder::new(&nl, config()), &[cells[44]]);
         let gtl = &result.gtls[0];
         assert!(gtl.ngtl_score.is_finite() && gtl.gtl_sd.is_finite());
         assert!(gtl.score > 0.0);
@@ -528,8 +484,12 @@ mod tests {
         let finder = TangledLogicFinder::new(&nl, config());
         let plain = format!("{:?}", finder.run());
         let token = CancelToken::new();
-        let cancellable = format!("{:?}", finder.run_cancellable(&token).unwrap());
-        assert_eq!(plain, cancellable);
+        // Reused scratch and a live token are both invisible.
+        let mut scratch = crate::prune::PruneScratch::new(nl.num_cells());
+        for _ in 0..2 {
+            let cancellable = finder.run_with(&mut scratch, Some(&token)).unwrap();
+            assert_eq!(plain, format!("{cancellable:?}"));
+        }
     }
 
     #[test]
@@ -538,7 +498,7 @@ mod tests {
         let finder = TangledLogicFinder::new(&nl, config());
         let token = CancelToken::new();
         token.cancel();
-        let err = finder.run_cancellable(&token).unwrap_err();
+        let err = run_under(&finder, &token).unwrap_err();
         assert_eq!(err.reason, gtl_core::cancel::CancelReason::Cancelled);
     }
 
@@ -548,7 +508,7 @@ mod tests {
         let finder = TangledLogicFinder::new(&nl, config());
         let token =
             CancelToken::with_deadline(gtl_core::cancel::Deadline::at(std::time::Instant::now()));
-        let err = finder.run_cancellable(&token).unwrap_err();
+        let err = run_under(&finder, &token).unwrap_err();
         assert_eq!(err.reason, gtl_core::cancel::CancelReason::DeadlineExceeded);
     }
 
